@@ -183,34 +183,54 @@ let restore (text : string) : Session.t =
       | Some v -> Database.restore_object db oid v
       | None -> error "bad object payload: %s" payload)
     (List.rev !objects);
-  List.iter
-    (fun (table, payload) ->
-      match Value_text.parse_opt payload with
-      | Some (Value.List tup) -> Database.insert db table tup
-      | Some _ | None -> error "bad tuple payload for %s: %s" table payload)
-    (List.rev !tuples);
+  (* base rows and materialized extents, grouped per relation; each
+     relation is built once (one sort) and all of them are installed
+     under a single publish *)
+  let group what lines =
+    let by_name = Hashtbl.create 8 in
+    let order = ref [] in
+    List.iter
+      (fun (name, payload) ->
+        let tup =
+          match Value_text.parse_opt payload with
+          | Some (Value.List tup) -> tup
+          | Some _ | None -> error "bad %s payload for %s: %s" what name payload
+        in
+        match Hashtbl.find_opt by_name name with
+        | Some rows -> Hashtbl.replace by_name name (tup :: rows)
+        | None ->
+          order := name :: !order;
+          Hashtbl.replace by_name name [ tup ])
+      lines (* reversed input + reversed accumulation = dump order *);
+    List.map (fun name -> (name, Hashtbl.find by_name name)) !order
+  in
+  let tables =
+    List.map
+      (fun (table, rows) ->
+        match Database.relation_opt db table with
+        | Some rel ->
+          (table, Relation.make rel.Relation.schema (rows @ rel.Relation.tuples))
+        | None -> error "rows for unknown table %s" table)
+      (group "tuple" !tuples)
+  in
+  let extents = group "extent" !extents in
   (* materialized extents: install the dumped tuples per view; a view
      with no dumped extent (older dump format) is recomputed instead *)
-  let by_view = Hashtbl.create 8 in
-  List.iter
-    (fun (view, payload) ->
-      let tup =
-        match Value_text.parse_opt payload with
-        | Some (Value.List tup) -> tup
-        | Some _ | None -> error "bad extent payload for %s: %s" view payload
-      in
-      let prev = try Hashtbl.find by_view view with Not_found -> [] in
-      Hashtbl.replace by_view view (tup :: prev))
-    !extents (* reversed input + reversed accumulation = dump order *);
+  let views = Materializer.views (Session.mviews s) in
+  Database.replace_many db
+    (tables
+    @ List.filter_map
+        (fun (v : Materializer.view) ->
+          Option.map
+            (fun rows ->
+              (v.Materializer.name, Relation.make v.Materializer.schema rows))
+            (List.assoc_opt v.Materializer.name extents))
+        views);
   List.iter
     (fun (v : Materializer.view) ->
-      match Hashtbl.find_opt by_view v.Materializer.name with
-      | Some tuples ->
-        Database.add_relation db v.Materializer.name
-          (Relation.make v.Materializer.schema tuples)
-      | None ->
+      if not (List.mem_assoc v.Materializer.name extents) then
         ignore (Session.exec s (Ast.Refresh v.Materializer.name)))
-    (Materializer.views (Session.mviews s));
+    views;
   s
 
 (* -- crash-safe file replacement ------------------------------------------ *)

@@ -30,8 +30,6 @@ type table = {
   cols : col array;
 }
 
-let chunk_rows = 1024
-
 let enabled_flag =
   let init =
     match Sys.getenv_opt "EDS_COLUMNAR" with Some "0" -> false | _ -> true
@@ -218,11 +216,12 @@ module Pred = struct
      code must only stand in for the *builtin* entries.  Adt.builtins
      re-registers the same physically-shared entry records on every
      call, so physical equality against a reference registry detects
-     shadowing exactly. *)
-  let reference = lazy (Adt.builtins ())
+     shadowing exactly.  Built at module initialisation: a [Lazy.t]
+     forced by two server threads at once can raise [Lazy.Undefined]. *)
+  let reference = Adt.builtins ()
 
   let is_builtin adts op =
-    match Adt.find adts op, Adt.find (Lazy.force reference) op with
+    match Adt.find adts op, Adt.find reference op with
     | Some a, Some b -> a == b
     | (Some _ | None), _ -> false
 

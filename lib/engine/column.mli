@@ -3,8 +3,8 @@
     A relation whose tuples are made exclusively of [Int], [Oid], [Str],
     [Enum] and [Real] scalars — one constructor per column — can be
     shadowed by a {!table}: one typed array per column, strings and enum
-    labels replaced by their {!Eds_value.Intern} ids.  The hot loops of the Indexed and Parallel
-    layers (hash-join build/probe, filter, semi-naive freshness) then
+    labels replaced by their {!Eds_value.Intern} ids.  The hot loops of the Indexed
+    layer (hash-join build/probe, filter, semi-naive freshness) then
     run over plain [int]/[float] arrays with no boxed [Value.t] in the
     inner loop; boxed tuples are materialized only at result-construction
     and Obs boundaries.
@@ -41,9 +41,6 @@ type table = {
   cols : col array;  (** all of length [nrows] *)
 }
 
-val chunk_rows : int
-(** Row granularity of chunked (vectorized) loops: 1024. *)
-
 val enabled : unit -> bool
 (** Default for the evaluator's [~columnar] switch.  Initialized from
     the [EDS_COLUMNAR] environment variable ([0] disables; anything
@@ -78,8 +75,7 @@ val cell_equal : col -> int -> col -> int -> bool
     [Float.compare]: NaN equals NaN, [-0. = 0.]. *)
 
 (** Flat chained hash index over selected key columns of one table.
-    Build is sequential; probes are lock-free reads, safe from any
-    domain once built.  A probe key is given as parallel arrays
+    Probes are read-only once built.  A probe key is given as parallel arrays
     [key]/[rows]: cell [e] of the key is [key.(e)] at row [rows.(e)], so
     a join key spanning several operands probes without materializing
     anything.  The cursor protocol is allocation-free:

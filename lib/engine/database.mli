@@ -33,9 +33,10 @@ val set_adts : t -> Adt.registry -> unit
 (** {1 Relations} *)
 
 val add_relation : t -> string -> Relation.t -> unit
-(** Create or replace a base relation.  The relation's hash view is
-    forced before the new state is published, so concurrent snapshot
-    readers never race a lazy build. *)
+(** Create or replace a base relation.  Nothing is built before the
+    publish: the relation's derived views ({!Relation.mem},
+    {!Relation.columns}) are safe to build from concurrent server
+    threads reading the new snapshot. *)
 
 val replace_many : t -> (string * Relation.t) list -> unit
 (** Create or replace several relations under a {e single} publish, so

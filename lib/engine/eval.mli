@@ -28,9 +28,9 @@ type stats = {
   mutable tuples_produced : int;
   mutable fix_iterations : int;
   mutable probes : int;
-      (** hash-index lookups (Indexed/Parallel layers only) *)
+      (** hash-index lookups (Indexed layer only) *)
   mutable builds : int;
-      (** tuples loaded into hash indexes (Indexed/Parallel only) *)
+      (** tuples loaded into hash indexes (Indexed layer only) *)
   mutable fix_cache_hits : int;
       (** closed-fixpoint memo hits — each one skips a whole fixpoint *)
   mutable fix_cache_misses : int;  (** closed fixpoints actually computed *)
@@ -60,12 +60,6 @@ module Physical : sig
     | Indexed
         (** hash joins on extracted equi conjuncts ({!Join_plan}),
             set-backed relations; produces identical results *)
-    | Parallel
-        (** [Indexed] fanned out on a {!Domain_pool}: partitioned hash
-            builds, chunked pipelined probes, chunked selections /
-            projections / semi-naive freshness tests.  Produces
-            {!Relation.equal} results {e and} identical {!stats} totals
-            to [Indexed] at any domain count. *)
 
   val to_string : t -> string
   val of_string : string -> t option
@@ -112,7 +106,6 @@ val run :
   ?mode:fix_mode ->
   ?physical:Physical.t ->
   ?stats:stats ->
-  ?domains:int ->
   ?rvars:(string * Relation.t) list ->
   ?columnar:bool ->
   ?fix_cache:Shared_fix_cache.t ->
@@ -121,11 +114,8 @@ val run :
   Relation.t
 (** Evaluate an expression.  [rvars] supplies bindings for free recursion
     variables (used internally and by tests).  Default mode is
-    [Seminaive]; default physical layer is [Indexed].  [domains] sizes
-    the worker pool used by {!Physical.Parallel} (default
-    {!Domain_pool.default_size}; pools are process-wide and cached, see
-    {!Domain_pool.get}) and is ignored by the other layers.  [columnar]
-    enables the vectorized fast paths of the Indexed/Parallel layers
+    [Seminaive]; default physical layer is [Indexed].  [columnar]
+    enables the vectorized fast paths of the Indexed layer
     (join, filter, project, diff/inter, semi-naive freshness) for
     operators whose operands have a columnar shadow ({!Column}); it
     defaults to {!Column.enabled} and is forced off under
@@ -140,7 +130,9 @@ val run :
 
     Every run additionally batches its {!stats} deltas into the
     always-on {!Eds_obs.Metrics} registry (one atomic add per field per
-    run, on every exit path). *)
+    run, on every exit path).  While {!Eds_obs.Obs} tracing is on, each
+    operator evaluation also emits an [eval:<op>] span carrying its
+    output cardinality and work counters. *)
 
 (** {1 EXPLAIN ANALYZE} *)
 
@@ -163,7 +155,6 @@ val run_analyzed :
   ?mode:fix_mode ->
   ?physical:Physical.t ->
   ?stats:stats ->
-  ?domains:int ->
   ?rvars:(string * Relation.t) list ->
   ?columnar:bool ->
   ?fix_cache:Shared_fix_cache.t ->
@@ -175,7 +166,9 @@ val run_analyzed :
     loop count (so a fixpoint's per-iteration arm re-evaluations fold
     together), and work counters are {e exclusive} of children — summing
     any counter over the whole report reproduces the {!stats} delta of
-    the run exactly. *)
+    the run exactly.  The plain, traced and analyzed runs share one
+    tree walker, so the result and the {!stats} are the same as
+    {!run}'s. *)
 
 val fold_report : ('a -> node_report -> 'a) -> 'a -> node_report -> 'a
 (** Pre-order fold over a report tree. *)

@@ -32,36 +32,36 @@ module Tuple_tbl = Hashtbl.Make (Tuple_key)
 
 type index = unit Tuple_tbl.t
 
+(* A derived view, built on first use.  Unlike [Lazy.t] it is safe to
+   force from several threads at once: each racer computes the view from
+   the immutable tuples and publishes it with one compare-and-set; a
+   loser drops its copy and reads the winner's. *)
+type 'a memo = 'a option Atomic.t
+
+let memo_force (cell : 'a memo) compute x =
+  match Atomic.get cell with
+  | Some v -> v
+  | None ->
+    let v = compute x in
+    if Atomic.compare_and_set cell None (Some v) then v
+    else Option.get (Atomic.get cell)
+
 type t = {
   schema : Schema.t;
   tuples : tuple list;
   card : int;
-  index : index Lazy.t;
-  cols : Column.table option Lazy.t;
+  index : index memo;
+  cols : Column.table option memo;
 }
-
-let build_index card tuples =
-  lazy
-    (let tbl = Tuple_tbl.create (max 16 card) in
-     List.iter (fun tup -> Tuple_tbl.replace tbl tup ()) tuples;
-     tbl)
-
-(* The columnar shadow is derived from the canonical tuple list at
-   every construction (never carried over from an operand), so set
-   operations can take any representation shortcut without the two
-   views drifting apart. *)
-let build_cols schema card tuples =
-  lazy (Column.of_tuples ~arity:(Schema.arity schema) card tuples)
 
 (* sorted, duplicate-free input *)
 let of_sorted schema tuples =
-  let card = List.length tuples in
   {
     schema;
     tuples;
-    card;
-    index = build_index card tuples;
-    cols = build_cols schema card tuples;
+    card = List.length tuples;
+    index = Atomic.make None;
+    cols = Atomic.make None;
   }
 
 let make schema tuples =
@@ -89,16 +89,22 @@ let with_schema schema r =
 let cardinality r = r.card
 let is_empty r = r.card = 0
 
-let mem tup r = r.card > 0 && Tuple_tbl.mem (Lazy.force r.index) tup
+let build_index r =
+  let tbl = Tuple_tbl.create (max 16 r.card) in
+  List.iter (fun tup -> Tuple_tbl.replace tbl tup ()) r.tuples;
+  tbl
 
-(* Force the hash-set view on the calling domain.  [Lazy.force] from
-   several domains at once on an unforced suspension is a race (it can
-   raise [Lazy.Undefined]); forcing here first makes subsequent
-   concurrent [mem] calls plain reads of the forced value. *)
-let force_index r = if r.card > 0 then ignore (Lazy.force r.index)
+let index r = memo_force r.index build_index r
+let mem tup r = r.card > 0 && Tuple_tbl.mem (index r) tup
 
-let columns r = Lazy.force r.cols
-let force_columns r = ignore (Lazy.force r.cols)
+(* The columnar shadow is derived from the canonical tuple list of each
+   relation (never carried over from an operand), so set operations can
+   take any representation shortcut without the two views drifting
+   apart. *)
+let build_columns r =
+  Column.of_tuples ~arity:(Schema.arity r.schema) r.card r.tuples
+
+let columns r = memo_force r.cols build_columns r
 
 (* Subset keeping the canonical order: a filtered sorted duplicate-free
    list is still sorted and duplicate-free, so no re-sort. *)
@@ -141,13 +147,18 @@ let union a b =
 let diff a b =
   check_arity "diff" a b;
   if a.card = 0 || b.card = 0 then a
-  else of_sorted a.schema (List.filter (fun t -> not (mem t b)) a.tuples)
+  else
+    let idx = index b in
+    of_sorted a.schema
+      (List.filter (fun t -> not (Tuple_tbl.mem idx t)) a.tuples)
 
 let inter a b =
   check_arity "inter" a b;
   if a.card = 0 then a
   else if b.card = 0 then empty a.schema
-  else of_sorted a.schema (List.filter (fun t -> mem t b) a.tuples)
+  else
+    let idx = index b in
+    of_sorted a.schema (List.filter (fun t -> Tuple_tbl.mem idx t) a.tuples)
 
 let pp ppf r =
   let names = List.map fst r.schema in

@@ -8,7 +8,10 @@
     lazily-built hash-set view (tuples keyed by a precomputed hash
     compatible with {!compare_tuples}), so {!mem}, {!diff}, {!inter} and
     the fixpoint freshness checks are O(1) per tuple instead of a scan,
-    and cardinality is cached at construction. *)
+    and cardinality is cached at construction.  The hash-set view and
+    the columnar shadow are both built on first use, and the query
+    server's connection threads may force them concurrently on the
+    relations of a shared snapshot. *)
 
 module Value = Eds_value.Value
 module Schema = Eds_lera.Schema
@@ -16,22 +19,28 @@ module Schema = Eds_lera.Schema
 type tuple = Value.t list
 
 (** Hashtables keyed on whole tuples ({!compare_tuples} equality,
-    {!hash_tuple} hashing).  Shared by the hash-join machinery and the
+    a hash compatible with it, numeric [Int]/[Real] and [Enum]/[Str]
+    cross-equalities included).  Shared by the hash-join machinery and the
     nest-grouping path of the evaluator. *)
 module Tuple_tbl : Hashtbl.S with type key = tuple
 
 type index
 (** The hash-set view of a relation's tuples. *)
 
+type 'a memo
+(** A view derived from the tuples on first use.  Forcing it from
+    several threads at once is safe: every racer computes the view and
+    one compare-and-set publishes it, so all readers see the same
+    value.  Nothing is built eagerly on construction. *)
+
 type t = private {
   schema : Schema.t;
   tuples : tuple list;  (** sorted, duplicate-free *)
   card : int;  (** [List.length tuples], cached *)
-  index : index Lazy.t;  (** hash-set over [tuples], built on first use *)
-  cols : Column.table option Lazy.t;
-      (** typed columnar shadow, derived from [tuples] on first use;
-          [None] when the schema or the values disqualify (see
-          {!Column.of_tuples}) *)
+  index : index memo;  (** hash-set over [tuples] *)
+  cols : Column.table option memo;
+      (** typed columnar shadow; [None] when the schema or the values
+          disqualify (see {!Column.of_tuples}) *)
 }
 
 val make : Schema.t -> tuple list -> t
@@ -41,8 +50,8 @@ val make : Schema.t -> tuple list -> t
 val empty : Schema.t -> t
 
 val with_schema : Schema.t -> t -> t
-(** Retag under a same-arity schema, sharing tuples and the lazy
-    index/columnar caches (all schema-name-independent).  O(1); raises
+(** Retag under a same-arity schema, sharing tuples and the derived
+    index/columnar views (all schema-name-independent).  O(1); raises
     [Invalid_argument] on arity mismatch. *)
 
 val cardinality : t -> int
@@ -51,20 +60,10 @@ val is_empty : t -> bool
 val mem : tuple -> t -> bool
 (** O(1) expected: probes the hash-set view. *)
 
-val force_index : t -> unit
-(** Build the hash-set view now, on the calling domain.  Required before
-    calling {!mem} concurrently from several domains: forcing the same
-    lazy suspension from two domains races, reading a forced one does
-    not. *)
-
 val columns : t -> Column.table option
 (** The columnar shadow of the tuples, built on first use; [None] when
-    the relation does not qualify.  Same cross-domain caveat as the
-    hash-set view: force on one domain (see {!force_columns}) before
-    reading from several. *)
-
-val force_columns : t -> unit
-(** Build the columnar shadow now, on the calling domain. *)
+    the relation does not qualify.  Safe to call from several threads
+    at once, like {!mem}. *)
 
 val filteri : (int -> tuple -> bool) -> t -> t
 (** Subset of the tuples by position (0-based, canonical order) and
@@ -84,10 +83,6 @@ val inter : t -> t -> t
     if the operand arities differ. *)
 
 val compare_tuples : tuple -> tuple -> int
-
-val hash_tuple : tuple -> int
-(** Hash compatible with [compare_tuples = 0] equality (numeric
-    [Int]/[Real] and [Enum]/[Str] cross-equalities included). *)
 
 val pp : Format.formatter -> t -> unit
 (** Tabular dump, one tuple per line. *)

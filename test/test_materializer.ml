@@ -393,7 +393,6 @@ let configs =
     (Eval.Physical.Naive, false);
     (Eval.Physical.Indexed, false);
     (Eval.Physical.Indexed, true);
-    (Eval.Physical.Parallel, true);
   ]
 
 let run_scenario ~physical ~columnar (sel, ops) =
@@ -407,7 +406,6 @@ let run_scenario ~physical ~columnar (sel, ops) =
       List.iter
         (fun s ->
           Session.set_physical s physical;
-          if physical = Eval.Physical.Parallel then Session.set_domains s 2;
           setup s)
         [ subject; oracle ];
       List.iter (create_view ~materialized:true subject) views;

@@ -1,22 +1,21 @@
 (* The physical evaluation layer (Eval.Physical): the indexed hash-join
-   evaluator against the naive cartesian reference, and the parallel
-   partitioned evaluator against both.
+   evaluator, boxed and columnar, against the naive cartesian reference.
 
-   - golden cross-mode suite: on every fixture plan, Naive, Indexed and
-     Parallel (at several domain counts) produce Relation.equal results;
+   - golden cross-mode suite: on every fixture plan, Naive, boxed Indexed
+     and columnar Indexed produce Relation.equal results;
    - work bounds: the Figure-8-shaped selective join stays within a
      hash-work budget that the naive layer exceeds by orders of
      magnitude;
    - set-operation operand validation (union/diff/inter arity errors);
    - Join_plan equi-conjunct extraction;
-   - a qcheck property over random schema-correct LERA plans: all four
-     configurations (Naive, boxed Indexed, columnar Indexed, columnar
-     Parallel) agree, the indexed layer's combinations and probes never
-     exceed the naive layer's combinations, and the parallel layer's
-     aggregated counters equal the indexed layer's exactly at every
-     domain count in {1, 2, 4};
-   - determinism: two Parallel runs at d=4 produce identical relations
-     and identical aggregated work counters;
+   - a qcheck property over random schema-correct LERA plans: the three
+     configurations (Naive, boxed Indexed, columnar Indexed) agree, the
+     columnar counters equal the boxed ones, the indexed layer's
+     combinations and probes never exceed the naive layer's
+     combinations, and in every configuration a plain run, an EXPLAIN
+     ANALYZE run and a traced run (with and without the analysis) give
+     the same result and the same stats, with the report's exclusive
+     counters summing to those stats;
    - columnar activation: qualifying all-scalar plans actually take the
      vectorized paths (columnar_ops > 0) and mixed-flavor or
      disqualified inputs fall back with identical results. *)
@@ -40,21 +39,13 @@ let run_both ?mode db rel =
   in
   ((rn, sn), (ri, si))
 
-let run_parallel ?mode ~domains db rel =
-  let sp = Eval.fresh_stats () in
-  let rp =
-    Eval.run ?mode ~physical:Eval.Physical.Parallel ~domains ~columnar:false
-      ~stats:sp db rel
-  in
-  (rp, sp)
-
-let run_columnar ?mode ?domains ~physical db rel =
+let run_columnar ?mode ~physical db rel =
   let s = Eval.fresh_stats () in
-  let r = Eval.run ?mode ?domains ~physical ~columnar:true ~stats:s db rel in
+  let r = Eval.run ?mode ~physical ~columnar:true ~stats:s db rel in
   (r, s)
 
-(* every counter, including the hash work and the fix-cache ones: the
-   parallel layer must aggregate to exactly the indexed totals *)
+(* every counter except the columnar provenance, including the hash work
+   and the fix-cache ones: boxed and columnar runs must agree exactly *)
 let stats_equal (a : Eval.stats) (b : Eval.stats) =
   a.Eval.combinations = b.Eval.combinations
   && a.Eval.tuples_read = b.Eval.tuples_read
@@ -78,17 +69,6 @@ let check_agree ?mode name db rel =
        sn.Eval.combinations)
     true
     (si.Eval.probes <= sn.Eval.combinations);
-  List.iter
-    (fun domains ->
-      let rp, sp = run_parallel ?mode ~domains db rel in
-      Alcotest.(check bool)
-        (Fmt.str "%s: parallel(d=%d) equals indexed" name domains)
-        true (Relation.equal ri rp);
-      Alcotest.(check bool)
-        (Fmt.str "%s: parallel(d=%d) counters equal indexed (%a vs %a)" name
-           domains Eval.pp_stats sp Eval.pp_stats si)
-        true (stats_equal sp si))
-    [ 1; 2; 4 ];
   let rc, sc = run_columnar ?mode ~physical:Eval.Physical.Indexed db rel in
   Alcotest.(check bool)
     (name ^ ": columnar indexed equals boxed indexed")
@@ -96,20 +76,7 @@ let check_agree ?mode name db rel =
   Alcotest.(check bool)
     (Fmt.str "%s: columnar counters equal boxed (%a vs %a)" name Eval.pp_stats
        sc Eval.pp_stats si)
-    true (stats_equal sc si);
-  List.iter
-    (fun domains ->
-      let rp, sp =
-        run_columnar ?mode ~domains ~physical:Eval.Physical.Parallel db rel
-      in
-      Alcotest.(check bool)
-        (Fmt.str "%s: columnar parallel(d=%d) equals indexed" name domains)
-        true (Relation.equal ri rp);
-      Alcotest.(check bool)
-        (Fmt.str "%s: columnar parallel(d=%d) counters equal indexed (%a vs %a)"
-           name domains Eval.pp_stats sp Eval.pp_stats si)
-        true (stats_equal sp si))
-    [ 1; 2; 4 ]
+    true (stats_equal sc si)
 
 (* -- golden cross-mode fixtures ----------------------------------------- *)
 
@@ -291,11 +258,58 @@ let qdb () = Gen.db ()
 let gen_plan = Gen.gen_plan
 let print_plan = Gen.print_plan
 
+(* The plain, analyzed and traced runs share one tree walker: in a fixed
+   configuration they must return the same relation and the very same
+   stats (columnar provenance included), and the exclusive counters of
+   the EXPLAIN ANALYZE report must sum to those stats.  The traced runs
+   must also emit balanced [eval:] spans. *)
+let observed_runs_agree db rel (physical, columnar) =
+  let plain () =
+    let s = Eval.fresh_stats () in
+    (Eval.run ~physical ~columnar ~stats:s db rel, s)
+  in
+  let analyzed () =
+    let s = Eval.fresh_stats () in
+    let r, report = Eval.run_analyzed ~physical ~columnar ~stats:s db rel in
+    (r, s, report)
+  in
+  let traced f =
+    let sink, events = Eds_obs.Obs.memory_sink () in
+    Eds_obs.Obs.set_sink (Some sink);
+    let v = Fun.protect ~finally:(fun () -> Eds_obs.Obs.set_sink None) f in
+    let count pred = List.length (List.filter pred (events ())) in
+    let begins =
+      count (function Eds_obs.Obs.Begin { cat = "eval"; _ } -> true | _ -> false)
+    and ends =
+      count (function Eds_obs.Obs.End { cat = "eval"; _ } -> true | _ -> false)
+    in
+    (v, begins > 0 && begins = ends)
+  in
+  let identical (a : Eval.stats) (b : Eval.stats) =
+    stats_equal a b && a.Eval.columnar_ops = b.Eval.columnar_ops
+  in
+  let sums_to (s : Eval.stats) report =
+    let total get = Eval.fold_report (fun acc n -> acc + get n) 0 report in
+    total (fun n -> n.Eval.combinations) = s.Eval.combinations
+    && total (fun n -> n.Eval.tuples_read) = s.Eval.tuples_read
+    && total (fun n -> n.Eval.probes) = s.Eval.probes
+    && total (fun n -> n.Eval.builds) = s.Eval.builds
+  in
+  let r0, s0 = plain () in
+  let ra, sa, report = analyzed () in
+  let (rt, st), spans_t = traced plain in
+  let (rat, sat, report_t), spans_at = traced analyzed in
+  Relation.equal r0 ra && Relation.equal r0 rt && Relation.equal r0 rat
+  && identical s0 sa && identical s0 st && identical s0 sat
+  && sums_to s0 report && sums_to s0 report_t
+  && spans_t && spans_at
+
 let test_random_plans_agree =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make
        ~name:
-         "naive, boxed/columnar indexed and parallel agree on 250 random plans"
+         "naive, boxed/columnar indexed and observed runs agree on 250 random \
+          plans"
        ~count:250 ~print:print_plan gen_plan
        (fun (rel, _) ->
          let db = qdb () in
@@ -307,14 +321,12 @@ let test_random_plans_agree =
          && si.Eval.combinations <= sn.Eval.combinations
          && si.Eval.probes <= sn.Eval.combinations
          && List.for_all
-              (fun domains ->
-                let rp, sp = run_parallel ~domains db rel in
-                let rpc, spc =
-                  run_columnar ~domains ~physical:Eval.Physical.Parallel db rel
-                in
-                Relation.equal ri rp && stats_equal sp si
-                && Relation.equal ri rpc && stats_equal spc si)
-              [ 1; 2; 4 ]))
+              (observed_runs_agree db rel)
+              [
+                (Eval.Physical.Naive, false);
+                (Eval.Physical.Indexed, false);
+                (Eval.Physical.Indexed, true);
+              ]))
 
 (* -- columnar activation and representation normalization ---------------- *)
 
@@ -439,33 +451,6 @@ let test_union_layout_normalized () =
   Alcotest.(check int) "filteri keeps the kept rows" 3 (Relation.cardinality sub);
   Alcotest.(check bool) "filteri result has a shadow" true (has_cols sub)
 
-(* -- parallel determinism ------------------------------------------------ *)
-
-let test_parallel_determinism () =
-  let plans =
-    [
-      ("chain closure", Fixtures.chain_db 12, tc_fix);
-      ( "fig8 join",
-        fig8_shape_db (),
-        Lera.Search
-          ( [ Lera.Base "FILM"; Lera.Base "APPEARS_IN" ],
-            Lera.eq (Lera.col 1 1) (Lera.col 2 1),
-            [ Lera.col 1 2; Lera.col 2 2 ] ) );
-    ]
-  in
-  List.iter
-    (fun (name, db, rel) ->
-      let r1, s1 = run_parallel ~domains:4 db rel in
-      let r2, s2 = run_parallel ~domains:4 db rel in
-      Alcotest.(check bool)
-        (name ^ ": two d=4 runs produce identical relations")
-        true (Relation.equal r1 r2);
-      Alcotest.(check bool)
-        (Fmt.str "%s: two d=4 runs produce identical counters (%a vs %a)" name
-           Eval.pp_stats s1 Eval.pp_stats s2)
-        true (stats_equal s1 s2))
-    plans
-
 let suite =
   [
     Alcotest.test_case "golden: film joins" `Quick test_golden_film;
@@ -481,6 +466,4 @@ let suite =
       test_columnar_mixed_flavor;
     Alcotest.test_case "set ops normalize columnar layout" `Quick
       test_union_layout_normalized;
-    Alcotest.test_case "parallel determinism at d=4" `Quick
-      test_parallel_determinism;
   ]

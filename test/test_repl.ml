@@ -69,30 +69,32 @@ let test_directive_errors_kept_alive () =
   Alcotest.(check bool) "loop survived to .help" true
     (contains out "directives:")
 
-let test_domains_and_parallel_directives () =
+let test_physical_directive () =
   let out, final =
     drive
       [
         "CREATE TABLE T (A INT, B INT);";
         "INSERT INTO T VALUES (1, 2);";
-        ".domains 0" (* rejected: must stay at the default *);
-        ".domains 2";
-        ".physical parallel";
+        ".physical parallel" (* retired: rejected, layer unchanged *);
+        ".domains 2" (* retired with it *);
+        ".physical naive";
         "SELECT A FROM T WHERE A = 1;";
         ".stats";
         ".quit";
       ]
   in
-  Alcotest.(check bool) "domains 0 rejected" true
-    (contains out "usage: .domains N");
-  Alcotest.(check bool) "domains set" true (contains out "domains: 2");
-  Alcotest.(check bool) "parallel layer selected" true
-    (contains out "physical layer: parallel");
-  Alcotest.(check bool) "query ran under the parallel layer" true
+  Alcotest.(check bool) "parallel rejected with the usage line" true
+    (contains out "physical layer: indexed (usage: .physical naive|indexed)");
+  Alcotest.(check bool) ".domains is unknown" true
+    (contains out "unknown directive .domains");
+  Alcotest.(check bool) "naive layer selected" true
+    (contains out "physical layer: naive");
+  Alcotest.(check bool) "query ran under the naive layer" true
     (contains out "(1 tuple)");
   Alcotest.(check bool) ".stats reports the layer" true
-    (contains out "physical layer   : parallel");
-  Alcotest.(check int) "session really holds the knob" 2 (Session.domains final)
+    (contains out "physical layer   : naive");
+  Alcotest.(check bool) "session really holds the layer" true
+    (Session.physical final = Eds_engine.Eval.Physical.Naive)
 
 let suite =
   [
@@ -100,6 +102,6 @@ let suite =
       test_survives_bad_statement;
     Alcotest.test_case "bad directives don't kill the loop" `Quick
       test_directive_errors_kept_alive;
-    Alcotest.test_case ".domains/.physical parallel" `Quick
-      test_domains_and_parallel_directives;
+    Alcotest.test_case ".physical selects naive|indexed" `Quick
+      test_physical_directive;
   ]

@@ -193,6 +193,35 @@ let test_database_snapshot_isolation () =
     (Relation.cardinality (Database.relation db "P"));
   Alcotest.(check int) "snapshot generation frozen" g0 (Database.data_generation snap)
 
+(* Connection threads reading one snapshot build a relation's derived
+   views (hash set, columnar shadow) on first use, concurrently.  Each
+   round races three threads on a fresh 20,000-row relation: with
+   [Lazy.t] views, a thread preempted mid-build leaves the others
+   raising [CamlinternalLazy.Undefined], which happens within ~20
+   rounds on 2 vCPUs. *)
+let test_derived_views_race_free () =
+  let module Vtype = Eds_value.Vtype in
+  let base =
+    Relation.make
+      [ ("A", Vtype.Int); ("B", Vtype.Int) ]
+      (List.init 20_000 (fun i -> [ Value.Int i; Value.Int (i * 7) ]))
+  in
+  let probe = [ Value.Int 3; Value.Int 21 ] in
+  let failures = Atomic.make 0 in
+  for _ = 1 to 100 do
+    (* a fresh record: a subset copy starts with no view built *)
+    let r = Relation.filteri (fun _ _ -> true) base in
+    let worker () =
+      try
+        if Relation.columns r = None || not (Relation.mem probe r) then
+          Atomic.incr failures
+      with _ -> Atomic.incr failures
+    in
+    List.iter Thread.join (List.init 3 (fun _ -> Thread.create worker ()))
+  done;
+  Alcotest.(check int) "no thread failed to read a derived view" 0
+    (Atomic.get failures)
+
 let test_planner_sweeps_stale_generation () =
   let s = planner_session () in
   let p = Planner.create ~capacity:4 s in
@@ -775,4 +804,6 @@ let suite =
       test_loadtest_concurrent_bit_identical;
     Alcotest.test_case "mixed read/write load, oracle-verified" `Quick
       test_loadtest_mixed_verified;
+    Alcotest.test_case "relation: derived views race-free" `Quick
+      test_derived_views_race_free;
   ]

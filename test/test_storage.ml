@@ -146,7 +146,7 @@ let test_restore_rejects_garbage () =
 
 (* the server workload must survive dump → restore bit-identically on
    every physical layer: render each query on the original session, then
-   re-render on the restored one under Naive, Indexed and Parallel *)
+   re-render on the restored one under Naive and Indexed *)
 let test_dump_restore_across_physical_layers () =
   let module Loadtest = Eds_server.Loadtest in
   let module Eval = Eds_engine.Eval in
@@ -158,7 +158,6 @@ let test_dump_restore_across_physical_layers () =
     (fun physical ->
       let s' = Storage.restore dumped in
       Session.set_physical s' physical;
-      if physical = Eval.Physical.Parallel then Session.set_domains s' 2;
       List.iter
         (fun (q, want) ->
           let got = List.assoc q (Loadtest.expected_payloads s') in
@@ -166,7 +165,52 @@ let test_dump_restore_across_physical_layers () =
             (Fmt.str "%s under %s" q (Eval.Physical.to_string physical))
             want got)
         expected)
-    [ Eval.Physical.Naive; Eval.Physical.Indexed; Eval.Physical.Parallel ]
+    [ Eval.Physical.Naive; Eval.Physical.Indexed ]
+
+(* restore installs each table with one build under one publish: the
+   data generation it ends at depends on the tables, not on the rows *)
+let test_restore_publishes_per_table () =
+  let generation_after_restore rows =
+    let s = Session.create () in
+    ignore (Session.exec_string s "CREATE TABLE E (Src INT, Dst INT);");
+    ignore (Session.exec_string s "CREATE TABLE F (X INT);");
+    ignore (Session.exec_string s "INSERT INTO F VALUES (1);");
+    let db = Session.database s in
+    Database.add_relation db "E"
+      (Relation.make (Database.relation db "E").Relation.schema
+         (List.init rows (fun i -> [ Value.Int i; Value.Int (i + 1) ])));
+    let s' = Storage.restore (Storage.dump s) in
+    Alcotest.(check int)
+      (Fmt.str "%d rows restored" rows)
+      rows
+      (Relation.cardinality (Database.relation (Session.database s') "E"));
+    Database.data_generation (Session.database s')
+  in
+  Alcotest.(check int) "generation independent of the row count"
+    (generation_after_restore 10)
+    (generation_after_restore 2_000)
+
+(* a materialized view's extent is named after its declared columns,
+   live and after a dump/restore *)
+let test_mview_columns_survive_restore () =
+  let s = Session.create () in
+  List.iter
+    (fun stmt -> ignore (Session.exec_string s stmt))
+    [
+      "CREATE TABLE E (Src INT, Dst INT);";
+      "INSERT INTO E VALUES (1, 2);";
+      "CREATE MATERIALIZED VIEW M (A, B) AS (SELECT Src, Dst FROM E);";
+    ];
+  let header s =
+    List.map fst (Session.query s "SELECT M.B FROM M").Relation.schema
+  in
+  let live = header s in
+  Alcotest.(check (list string)) "live header" [ "B" ] live;
+  Alcotest.(check (list string)) "restored header" live
+    (header (Storage.restore (Storage.dump s)));
+  (* a maintained extent keeps the declared names too *)
+  ignore (Session.exec_string s "INSERT INTO E VALUES (2, 3);");
+  Alcotest.(check (list string)) "header after maintenance" live (header s)
 
 let test_save_load_files () =
   let s = film_session () in
@@ -295,7 +339,7 @@ let prop_interned_column_round_trip =
             Test.fail_reportf "recovered dump differs:@.%s@.vs@.%s" got_dump
               want_dump;
           (* every physical layer renders the probe queries identically,
-             with the columnar path live on Indexed/Parallel *)
+             with the columnar path live on Indexed *)
           let probe = List.nth rows (List.length rows / 2) in
           let queries =
             [
@@ -315,7 +359,6 @@ let prop_interned_column_round_trip =
             (fun physical ->
               let s' = Storage.restore got_dump in
               Session.set_physical s' physical;
-              if physical = Eval.Physical.Parallel then Session.set_domains s' 2;
               List.iter2
                 (fun q want ->
                   if render s' q <> want then
@@ -323,7 +366,7 @@ let prop_interned_column_round_trip =
                       (Eval.Physical.to_string physical)
                       q)
                 queries wants)
-            [ Eval.Physical.Naive; Eval.Physical.Indexed; Eval.Physical.Parallel ];
+            [ Eval.Physical.Naive; Eval.Physical.Indexed ];
           (* intern-id stability: recovery re-interns the same strings,
              and ids already issued never move *)
           List.for_all
@@ -340,6 +383,10 @@ let suite =
     Alcotest.test_case "dump/restore across physical layers" `Quick
       test_dump_restore_across_physical_layers;
     Alcotest.test_case "save/load files" `Quick test_save_load_files;
+    Alcotest.test_case "restore publishes per table" `Quick
+      test_restore_publishes_per_table;
+    Alcotest.test_case "mview columns survive restore" `Quick
+      test_mview_columns_survive_restore;
     Alcotest.test_case "atomic save: mid-write failure keeps old file" `Quick
       test_atomic_save_failure_preserves_old;
     Alcotest.test_case "atomic save: overwrite leaves no temp" `Quick
