@@ -45,9 +45,9 @@ let work_markers =
        the oracle replay likewise *)
     "read_lock";
     "mismatch";
-    (* E7: allocation (kilowords per run) of the columnar/boxed hot
-       loops — allocation is deterministic for a seeded workload, so a
-       growth means a chunked loop started boxing per tuple again *)
+    (* E7: allocation (kilowords per run) of the columnar hot loops —
+       allocation is deterministic for a seeded workload, so a growth
+       means a loop started boxing per tuple again *)
     "alloc";
   ]
 

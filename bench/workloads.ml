@@ -219,9 +219,8 @@ let chain_join_query =
    cardinality, so the greedy join order cannot pick a small driver:
    R→S fans out by ~[fan] (J ranges over size/fan groups) and T keeps
    only 1 in 64 of the fanned tuples (its keys are the multiples of
-   64).  The columnar executor streams the fat R⋈S middle through the T
-   probe depth-first without materialising it; the boxed executor builds
-   the whole intermediate combination list. *)
+   64).  The hash-join executor streams the fat R⋈S middle through the
+   T probe depth-first without materialising it. *)
 let fat_chain_db ~size ~fan =
   let db = Database.create () in
   let rng = make_rng 31415 in

@@ -1,27 +1,30 @@
-(** Typed columnar view of a relation (the vectorized execution layer).
+(** Columnar view of a relation (the vectorized execution layer).
 
-    A relation whose tuples are made exclusively of [Int], [Oid], [Str],
-    [Enum] and [Real] scalars — one constructor per column — can be
-    shadowed by a {!table}: one typed array per column, strings and enum
-    labels replaced by their {!Eds_value.Intern} ids.  The hot loops of the Indexed
-    layer (hash-join build/probe, filter, semi-naive freshness) then
-    run over plain [int]/[float] arrays with no boxed [Value.t] in the
-    inner loop; boxed tuples are materialized only at result-construction
-    and Obs boundaries.
+    Every relation is shadowed by a {!table}: one array per column.  A
+    column whose cells are all [Int], [Oid], [Str], [Enum] (of one enum
+    type) or [Real] — one constructor per column — is {e typed}: a plain
+    [int]/[float] array, strings and enum labels replaced by their
+    {!Eds_value.Intern} ids.  Any other column ([Null], [Bool], [Tuple]
+    or collection cells, or a mix of constructors such as [Int] with
+    [Real], or [Enum]/[Str]) is [Values]: the boxed cells themselves.
+    The hot loops of the Indexed layer (hash-join build/probe, filter,
+    whole-row membership) run over typed columns with no boxed
+    [Value.t] in the inner loop; boxed tuples are materialized only at
+    result-construction and Obs boundaries.
 
     The boxed sorted tuple list of {!Relation} stays the canonical
     identity — a table is always {e derived} from it, never the other
     way around, so set semantics, rendering and storage are untouched.
 
-    Fallback rules (all-or-nothing per relation): any [Null], [Bool],
-    [Tuple], collection value, or a column mixing constructors (including
-    [Enum] cells of different enum types, or an [Enum]/[Str] mix) makes
-    {!of_tuples} return [None] and execution falls back to the boxed
-    paths.  An [Enum] column keeps its type name in the column header
-    ({!Enums}), so rendering-faithful values are rebuilt on
-    materialization while the hot loops compare interned label ids —
-    exactly [Value.compare]'s semantics, which equates [Enum (_, l)]
-    with [Str l] by label. *)
+    Fallback is per column: cells of two columns compare only within one
+    flavor, and a comparison between columns of different flavors
+    (e.g. [Ints] vs [Floats], or typed vs [Values]) goes through
+    {!unify}, which boxes just those two columns so [Value.compare]'s
+    Int/Real cross-equality still holds.  An [Enum] column keeps its
+    type name in the column header ({!Enums}), so rendering-faithful
+    values are rebuilt on materialization while the hot loops compare
+    interned label ids — exactly [Value.compare]'s semantics, which
+    equates [Enum (_, l)] with [Str l] by label. *)
 
 module Value = Eds_value.Value
 
@@ -33,34 +36,29 @@ type col =
       (** enum type name + interned labels; flavor {!F_id}, compares and
           hashes against [Ids] by id (enum/string cross-equality) *)
   | Floats of float array
+  | Values of Value.t array
+      (** boxed cells: compared with [Value.compare], hashed with
+          [Value.hash] *)
 
-type flavor = F_int | F_oid | F_id | F_float
+type flavor = F_int | F_oid | F_id | F_float | F_value
 
 type table = {
   nrows : int;
   cols : col array;  (** all of length [nrows] *)
 }
 
-val enabled : unit -> bool
-(** Default for the evaluator's [~columnar] switch.  Initialized from
-    the [EDS_COLUMNAR] environment variable ([0] disables; anything
-    else, or unset, enables). *)
-
-val set_enabled : bool -> unit
-
 val flavor : col -> flavor
 
-val flavors_equal : table -> table -> bool
-(** Same width and column-wise same flavor — the precondition for
-    whole-row columnar membership (diff/inter/freshness): within equal
-    flavors, cell equality coincides with [Value.compare = 0], while
-    across flavors boxed cross-equalities (Int/Real) could apply. *)
+val unify : col -> col -> col * col
+(** [unify ca cb] is [(ca, cb)] when the two columns share a flavor,
+    and both columns boxed to [Values] otherwise — the precondition of
+    {!cell_equal} and {!Index} probes between two columns. *)
 
-val of_tuples : arity:int -> int -> Value.t list list -> table option
-(** [of_tuples ~arity nrows tuples] builds the columnar shadow of a
-    width-[arity] tuple list, or [None] under the fallback rules above
-    (also for [nrows = 0] or [arity = 0]).  Row order is preserved.
-    Interns every string cell. *)
+val of_tuples : arity:int -> int -> Value.t list list -> table
+(** [of_tuples ~arity nrows tuples] builds the columnar shadow of
+    [nrows] width-[arity] tuples, each column typed or [Values] under
+    the rules above.  Row order is preserved.  Interns every string
+    cell of a typed column. *)
 
 val value_at : table -> row:int -> col:int -> Value.t
 (** Materialize one cell ([Str] cells share the interned string). *)
@@ -70,9 +68,8 @@ val tuple_at : table -> int -> Value.t list
 
 val cell_equal : col -> int -> col -> int -> bool
 (** [cell_equal ca i cb j]: [Value.compare]-equality of two cells,
-    [false] across flavors (callers gate with {!flavors_equal} or the
-    join planner's flavor check first).  Float cells follow
-    [Float.compare]: NaN equals NaN, [-0. = 0.]. *)
+    [false] across flavors (callers {!unify} the two columns first).
+    Float cells follow [Float.compare]: NaN equals NaN, [-0. = 0.]. *)
 
 (** Flat chained hash index over selected key columns of one table.
     Probes are read-only once built.  A probe key is given as parallel arrays
@@ -89,15 +86,14 @@ val cell_equal : col -> int -> col -> int -> bool
     ]}
 
     Probe cells must have the same flavor as the corresponding build
-    key column (gate with {!flavors_equal} or a per-edge flavor check):
-    across flavors, cell equality is [false] while the boxed paths
-    apply [Value.compare]'s Int/Real cross-equality. *)
+    key column ({!unify} them first): across flavors, cell equality is
+    [false]. *)
 module Index : sig
   type t
 
-  val build : ?on_build:(unit -> unit) -> table -> key_cols:int array -> t
-  (** Index rows [0 .. nrows-1] on the given columns; [on_build] fires
-      once per row inserted (the build-side work counter). *)
+  val build : ?on_build:(unit -> unit) -> nrows:int -> col array -> t
+  (** Index rows [0 .. nrows-1] of the given key columns; [on_build]
+      fires once per row inserted (the build-side work counter). *)
 
   val first : t -> key:col array -> rows:int array -> int
   (** First indexed row whose build-key cells equal the probe cells
@@ -116,15 +112,16 @@ module Pred : sig
     | Rows of (int array -> bool)
         (** [rows.(k)] is the current row of operand [k+1] *)
     | Opaque
-        (** not compilable (or could raise, or a comparison operator was
-            overridden in the ADT registry) — use the boxed evaluator *)
+        (** not compilable (a [Values] column, a shape that could raise,
+            or a comparison operator overridden in the ADT registry) —
+            use {!Expr_eval} *)
 
   val compile : adts:Eds_value.Adt.registry -> table array -> Eds_lera.Lera.scalar -> t
   (** Compiles conjunctions/disjunctions/negations of the six builtin
-      comparison operators over [Col]/[Cst] sides.  Semantics replicate
-      the boxed path bit-for-bit ([test (Value.compare a b)] with
-      [to_bool] at the top); every shape whose boxed evaluation could
-      raise, touch a collection broadcast, or hit a user-overridden
-      operator compiles to [Opaque] so the fallback raises or evaluates
-      identically. *)
+      comparison operators over typed [Col]s and [Cst] sides.
+      Semantics replicate {!Expr_eval.eval_bool} bit-for-bit
+      ([test (Value.compare a b)] with [to_bool] at the top); every
+      shape whose evaluation could raise, touch a collection broadcast,
+      or hit a user-overridden operator compiles to [Opaque], so
+      {!Expr_eval} raises or evaluates it identically. *)
 end

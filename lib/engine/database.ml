@@ -45,9 +45,9 @@ let adts db = db.state.adt_registry
 let set_types db env = publish db { db.state with type_env = env }
 let set_adts db reg = publish db { db.state with adt_registry = reg }
 
-(* Nothing is forced before publishing: a relation's derived views are
-   race-free memo cells, so the server threads reading a snapshot may
-   build them concurrently on first use. *)
+(* Nothing is forced before publishing: a relation's columnar shadow is
+   a race-free memo cell, so the server threads reading a snapshot may
+   build it concurrently on first use. *)
 let add_relation db name rel =
   publish db { db.state with relations = Smap.add name rel db.state.relations }
 

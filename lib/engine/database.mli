@@ -34,8 +34,8 @@ val set_adts : t -> Adt.registry -> unit
 
 val add_relation : t -> string -> Relation.t -> unit
 (** Create or replace a base relation.  Nothing is built before the
-    publish: the relation's derived views ({!Relation.mem},
-    {!Relation.columns}) are safe to build from concurrent server
+    publish: the relation's derived columnar shadow
+    ({!Relation.columns}) is safe to build from concurrent server
     threads reading the new snapshot. *)
 
 val replace_many : t -> (string * Relation.t) list -> unit

@@ -48,8 +48,7 @@ type stats = {
   mutable fix_cache_hits : int;
   mutable fix_cache_misses : int;
   mutable columnar_ops : int;
-      (** operator evaluations that ran vectorized; every other field is
-          identical between the boxed and columnar paths by construction *)
+      (** operator evaluations that ran over the columns *)
 }
 
 let fresh_stats () =
@@ -336,9 +335,6 @@ type ctx = {
   stats : stats;
   rvars : (string * Relation.t) list;
   fix_cache : fix_memo;
-  columnar : bool;
-      (** try the vectorized fast paths; always [false] under
-          {!Physical.Naive} (the paper-shape counter oracle stays boxed) *)
   analyze : analysis option;  (** [Some] only under {!run_analyzed} *)
 }
 
@@ -359,110 +355,139 @@ let project_tuples ctx ps (ra : Relation.t) =
     (fun tup -> List.map (fun p -> Expr_eval.eval ctx.db ~inputs:[ tup ] p) ps)
     ra.Relation.tuples
 
-(* Vectorized selection: when the input has a columnar shadow and the
-   qualification compiles to a row predicate, filter by row number over
-   the typed arrays and rebuild the output as an order-preserving subset
-   (no re-sort).  Counter parity with {!filter_tuples}: one
-   [combinations] per input row.  Falls back to the boxed path
-   otherwise. *)
-let columnar_filter ctx q (ra : Relation.t) =
+(* Vectorized selection (Indexed): when the qualification compiles to a
+   row predicate over the input's columns, filter by row number and
+   rebuild the output as an order-preserving subset (no re-sort).
+   Counter parity with {!filter_tuples}: one [combinations] per input
+   row.  Naive and [Opaque] qualifications take {!filter_tuples}. *)
+let filter ctx q (ra : Relation.t) =
   let boxed () = Relation.make ra.Relation.schema (filter_tuples ctx q ra) in
-  if not ctx.columnar then boxed ()
-  else
-    match Relation.columns ra with
-    | None -> boxed ()
-    | Some tbl -> (
-      match Column.Pred.compile ~adts:(Database.adts ctx.db) [| tbl |] q with
-      | Column.Pred.Opaque -> boxed ()
-      | Column.Pred.Always ->
-        (* constant-true qualification: every row qualifies, and the
-           input is already in canonical form *)
-        let stats = ctx.stats in
-        stats.combinations <- stats.combinations + tbl.Column.nrows;
-        stats.columnar_ops <- stats.columnar_ops + 1;
-        ra
-      | Column.Pred.Rows p ->
-        let stats = ctx.stats in
-        let rows = [| 0 |] in
-        let out =
-          Relation.filteri
-            (fun i _ ->
-              Cancel.tick ();
-              stats.combinations <- stats.combinations + 1;
-              rows.(0) <- i;
-              p rows)
-            ra
-        in
-        stats.columnar_ops <- stats.columnar_ops + 1;
-        out)
-
-(* Vectorized projection for pure column-pick lists ([Col (1, j)] only):
-   materialize the picked cells straight off the typed arrays.  Like
-   {!project_tuples} this counts nothing; any non-column item (or an
-   out-of-range pick, whose boxed evaluation raises) falls back. *)
-let columnar_project ctx ps schema (ra : Relation.t) =
-  let boxed () = Relation.make schema (project_tuples ctx ps ra) in
-  if not ctx.columnar then boxed ()
-  else
-    match Relation.columns ra with
-    | None -> boxed ()
-    | Some tbl ->
-      let width = Array.length tbl.Column.cols in
-      let pure_pick =
-        List.for_all
-          (function Lera.Col (1, j) -> j >= 1 && j <= width | _ -> false)
-          ps
-      in
-      if not pure_pick then boxed ()
-      else begin
-        let js =
-          Array.of_list
-            (List.map
-               (function Lera.Col (_, j) -> j - 1 | _ -> assert false)
-               ps)
-        in
-        let out = ref [] in
-        for row = tbl.Column.nrows - 1 downto 0 do
-          out :=
-            Array.to_list
-              (Array.map (fun j -> Column.value_at tbl ~row ~col:j) js)
-            :: !out
-        done;
-        ctx.stats.columnar_ops <- ctx.stats.columnar_ops + 1;
-        Relation.make schema !out
-      end
-
-(* Vectorized whole-row membership, shared by Diff/Inter and the
-   semi-naive freshness test: index [rb] on all of its columns, probe
-   each row of [ra] allocation-free, keep the (non-)members as an
-   order-preserving subset.  Requires flavor-identical shadows on both
-   sides (within equal flavors, cell equality coincides with
-   [Value.compare]-equality); [None] means "use the boxed path" — which
-   also preserves the boxed arity-mismatch error, since differing
-   arities never pass [flavors_equal].  Like the boxed set operations,
-   counts nothing. *)
-let columnar_members ctx ~keep_found (ra : Relation.t) (rb : Relation.t) =
-  if (not ctx.columnar) || Relation.is_empty ra || Relation.is_empty rb then
-    None
-  else
-    match (Relation.columns ra, Relation.columns rb) with
-    | Some ta, Some tb when Column.flavors_equal ta tb ->
-      let width = Array.length tb.Column.cols in
-      let idx = Column.Index.build tb ~key_cols:(Array.init width Fun.id) in
-      let key = ta.Column.cols in
-      let rows = Array.make width 0 in
-      let mem i =
-        Array.fill rows 0 width i;
-        Column.Index.first idx ~key ~rows >= 0
-      in
+  match ctx.physical with
+  | Physical.Naive -> boxed ()
+  | Physical.Indexed -> (
+    let tbl = Relation.columns ra in
+    let stats = ctx.stats in
+    match Column.Pred.compile ~adts:(Database.adts ctx.db) [| tbl |] q with
+    | Column.Pred.Opaque -> boxed ()
+    | Column.Pred.Always ->
+      (* constant-true qualification: every row qualifies, and the
+         input is already in canonical form *)
+      stats.combinations <- stats.combinations + tbl.Column.nrows;
+      stats.columnar_ops <- stats.columnar_ops + 1;
+      ra
+    | Column.Pred.Rows p ->
+      let rows = [| 0 |] in
       let out =
         Relation.filteri
-          (fun i _ -> if keep_found then mem i else not (mem i))
+          (fun i _ ->
+            Cancel.tick ();
+            stats.combinations <- stats.combinations + 1;
+            rows.(0) <- i;
+            p rows)
           ra
       in
-      ctx.stats.columnar_ops <- ctx.stats.columnar_ops + 1;
-      Some out
-    | _ -> None
+      stats.columnar_ops <- stats.columnar_ops + 1;
+      out)
+
+(* Vectorized projection (Indexed) for pure column-pick lists
+   ([Col (1, j)] only): materialize the picked cells straight off the
+   columns.  Like {!project_tuples} this counts nothing; any non-column
+   item (or an out-of-range pick, whose boxed evaluation raises) takes
+   {!project_tuples}. *)
+let project ctx ps schema (ra : Relation.t) =
+  let width = Schema.arity ra.Relation.schema in
+  let picks =
+    List.filter_map
+      (function Lera.Col (1, j) when j >= 1 && j <= width -> Some (j - 1) | _ -> None)
+      ps
+  in
+  if ctx.physical = Physical.Naive || List.compare_lengths picks ps <> 0 then
+    Relation.make schema (project_tuples ctx ps ra)
+  else begin
+    let tbl = Relation.columns ra in
+    let js = Array.of_list picks in
+    let out = ref [] in
+    for row = tbl.Column.nrows - 1 downto 0 do
+      out :=
+        Array.to_list (Array.map (fun j -> Column.value_at tbl ~row ~col:j) js)
+        :: !out
+    done;
+    ctx.stats.columnar_ops <- ctx.stats.columnar_ops + 1;
+    Relation.make schema !out
+  end
+
+(* Whole-row set difference/intersection ({!Relation.diff}/{!inter}) run
+   over the columns; under Indexed, with both operands non-empty, they
+   count as a columnar operator evaluation.  Like the other set
+   operations they count no work. *)
+let set_op ctx op (ra : Relation.t) (rb : Relation.t) =
+  if ctx.physical = Physical.Indexed
+     && not (Relation.is_empty ra || Relation.is_empty rb)
+  then ctx.stats.columnar_ops <- ctx.stats.columnar_ops + 1;
+  op ra rb
+
+(* The hash join (Indexed, at least one equi conjunct): enumeration runs
+   through {!Join_plan.execute_columnar} over the operands' columns —
+   combinations stay row-number cursors — and boxed tuples are
+   materialized only for combinations the residual keeps.  A residual
+   that does not compile to a row predicate is tested with
+   {!Expr_eval.eval_bool} on the materialized combination. *)
+let hash_join ctx plan (inputs : Relation.t list) f =
+  let db = ctx.db and stats = ctx.stats in
+  let tables = Array.of_list (List.map Relation.columns inputs) in
+  let residual = Join_plan.residual plan in
+  let materialize (rows : int array) =
+    List.init (Array.length tables) (fun k -> Column.tuple_at tables.(k) rows.(k))
+  in
+  let out = ref [] in
+  let keep =
+    match Column.Pred.compile ~adts:(Database.adts db) tables residual with
+    | Column.Pred.Always -> fun rows -> out := f (materialize rows) :: !out
+    | Column.Pred.Rows p ->
+      fun rows -> if p rows then out := f (materialize rows) :: !out
+    | Column.Pred.Opaque ->
+      fun rows ->
+        let combo = materialize rows in
+        if Expr_eval.eval_bool db ~inputs:combo residual then
+          out := f combo :: !out
+  in
+  Join_plan.execute_columnar
+    ~on_build:(fun () -> stats.builds <- stats.builds + 1)
+    ~on_probe:(fun () -> stats.probes <- stats.probes + 1)
+    plan tables
+    (fun rows ->
+      Cancel.tick ();
+      stats.combinations <- stats.combinations + 1;
+      keep rows);
+  stats.columnar_ops <- stats.columnar_ops + 1;
+  !out
+
+(* Collect [f combo] over the operand combinations satisfying [q],
+   counting one [combinations] per qualified candidate.  The naive layer
+   enumerates the full cartesian product and tests [q] on each; the
+   indexed layer extracts the equi-join conjuncts, enumerates only the
+   hash-join matches and tests just the residual — on the same operand
+   ordering semantics, so both yield the same combination set.  A search
+   with no equi conjunct is cartesian under both. *)
+let joined ctx (inputs : Relation.t list) q f =
+  let plan =
+    match ctx.physical with
+    | Physical.Naive -> None
+    | Physical.Indexed ->
+      let arities =
+        Array.of_list
+          (List.map (fun (r : Relation.t) -> Schema.arity r.Relation.schema) inputs)
+      in
+      let plan = Join_plan.analyze ~arities q in
+      if Join_plan.has_equis plan then Some plan else None
+  in
+  match plan with
+  | Some plan -> hash_join ctx plan inputs f
+  | None ->
+    let out = ref [] in
+    cartesian ctx.stats inputs (fun combo ->
+        if Expr_eval.eval_bool ctx.db ~inputs:combo q then out := f combo :: !out);
+    !out
 
 (* trace-span label of one operator node *)
 let op_label : Lera.rel -> string = function
@@ -536,16 +561,12 @@ let close_frame ctx fr result =
     | [] -> a.an_roots <- raw :: a.an_roots)
 
 let rec run_ctx ?(mode = Seminaive) ?(physical = Physical.Indexed) ?stats
-    ?(rvars = []) ?columnar ?fix_cache ?analyze db (r : Lera.rel) : Relation.t =
+    ?(rvars = []) ?fix_cache ?analyze db (r : Lera.rel) : Relation.t =
   let stats = match stats with Some s -> s | None -> fresh_stats () in
   let fix_memo =
     match fix_cache with
     | Some shared -> Shared shared
     | None -> Per_run (Fix_cache.create 8)
-  in
-  let columnar =
-    (match columnar with Some c -> c | None -> Column.enabled ())
-    && physical <> Physical.Naive
   in
   let c0 = stats.combinations
   and r0 = stats.tuples_read
@@ -561,8 +582,7 @@ let rec run_ctx ?(mode = Seminaive) ?(physical = Physical.Indexed) ?stats
       record_deltas stats ~c0 ~r0 ~pr0 ~b0 ~f0 ~fh0 ~fm0 ~p0 ~co0)
     (fun () ->
       eval
-        { db; mode; physical; stats; rvars; fix_cache = fix_memo; columnar;
-          analyze }
+        { db; mode; physical; stats; rvars; fix_cache = fix_memo; analyze }
         r)
 
 (* The one tree walker.  An operator evaluation is observed when tracing
@@ -602,109 +622,6 @@ and observe ctx (r : Lera.rel) : Relation.t =
     close_frame ctx fr None;
     raise e
 
-(* Enumerate the operand combinations satisfying qualification [q],
-   counting one [combinations] per qualified candidate.  The naive layer
-   enumerates the full cartesian product and tests [q] on each; the
-   indexed layer extracts the equi-join conjuncts, enumerates only the
-   hash-join matches and tests just the residual — on the same operand
-   ordering semantics, so both yield the same combination set. *)
-and joined ctx (inputs : Relation.t list) q (yield : Relation.tuple list -> unit) =
-  let stats = ctx.stats in
-  match ctx.physical with
-  | Physical.Naive ->
-    cartesian stats inputs (fun combo ->
-        if Expr_eval.eval_bool ctx.db ~inputs:combo q then yield combo)
-  | Physical.Indexed ->
-    let plan = Join_plan.analyze ~operands:(List.length inputs) q in
-    if not (Join_plan.has_equis plan) then
-      cartesian stats inputs (fun combo ->
-          if Expr_eval.eval_bool ctx.db ~inputs:combo q then yield combo)
-    else begin
-      let residual = Join_plan.residual plan in
-      Join_plan.execute
-        ~on_build:(fun () -> stats.builds <- stats.builds + 1)
-        ~on_probe:(fun () -> stats.probes <- stats.probes + 1)
-        plan (Array.of_list inputs)
-        (fun combo ->
-          Cancel.tick ();
-          stats.combinations <- stats.combinations + 1;
-          if Expr_eval.eval_bool ctx.db ~inputs:combo residual then yield combo)
-    end
-
-(* columnar shadows of every operand, or [None] on the first fallback *)
-and all_columns inputs =
-  let rec go acc = function
-    | [] -> Some (Array.of_list (List.rev acc))
-    | (r : Relation.t) :: rest -> (
-      match Relation.columns r with
-      | Some t -> go (t :: acc) rest
-      | None -> None)
-  in
-  go [] inputs
-
-(* The vectorized join driver: when every operand has a columnar shadow,
-   the plan's equi edges are flavor-compatible and the residual compiles
-   to a row predicate, enumeration runs through
-   {!Join_plan.execute_columnar} — combinations stay row-number cursors
-   and boxed tuples are materialized only for combinations surviving the
-   residual.  Counter totals (combinations, probes, builds) match the
-   boxed executors by construction; [None] means "use the boxed path". *)
-and columnar_join : 'a. ctx -> Relation.t list -> Lera.scalar ->
-    (Relation.tuple list -> 'a) -> 'a list option =
-  fun ctx inputs q f ->
-  if (not ctx.columnar) || inputs = [] then None
-  else begin
-    let plan = Join_plan.analyze ~operands:(List.length inputs) q in
-    if not (Join_plan.has_equis plan) then None
-    else
-      match all_columns inputs with
-      | None -> None
-      | Some tables ->
-        if not (Join_plan.columnar_ok plan tables) then None
-        else begin
-          match
-            Column.Pred.compile ~adts:(Database.adts ctx.db) tables
-              (Join_plan.residual plan)
-          with
-          | Column.Pred.Opaque -> None
-          | pred ->
-            let test =
-              match pred with
-              | Column.Pred.Always -> fun _ -> true
-              | Column.Pred.Rows p -> p
-              | Column.Pred.Opaque -> assert false
-            in
-            let ntab = Array.length tables in
-            let materialize (rows : int array) =
-              List.init ntab (fun k -> Column.tuple_at tables.(k) rows.(k))
-            in
-            let stats = ctx.stats in
-            let out = ref [] in
-            Join_plan.execute_columnar
-              ~on_build:(fun () -> stats.builds <- stats.builds + 1)
-              ~on_probe:(fun () -> stats.probes <- stats.probes + 1)
-              plan tables
-              (fun rows ->
-                Cancel.tick ();
-                stats.combinations <- stats.combinations + 1;
-                if test rows then out := f (materialize rows) :: !out);
-            stats.columnar_ops <- stats.columnar_ops + 1;
-            Some !out
-        end
-  end
-
-(* Collect [f combo] over every qualified combination: vectorized when
-   the operands qualify, through {!joined} otherwise. *)
-and collect_joined : 'a. ctx -> Relation.t list -> Lera.scalar ->
-    (Relation.tuple list -> 'a) -> 'a list =
-  fun ctx inputs q f ->
-  match columnar_join ctx inputs q f with
-  | Some out -> out
-  | None ->
-    let out = ref [] in
-    joined ctx inputs q (fun combo -> out := f combo :: !out);
-    !out
-
 and eval_node ctx (r : Lera.rel) : Relation.t =
   let { db; stats; rvars; _ } = ctx in
   match r with
@@ -724,17 +641,17 @@ and eval_node ctx (r : Lera.rel) : Relation.t =
   | Lera.Filter (_, q) when is_false q -> Relation.empty (rel_schema ctx r)
   | Lera.Filter (a, q) ->
     let ra = eval ctx a in
-    produce stats (columnar_filter ctx q ra)
+    produce stats (filter ctx q ra)
   | Lera.Project (a, ps) ->
     let ra = eval ctx a in
     let schema = rel_schema ctx r in
-    produce stats (columnar_project ctx ps schema ra)
+    produce stats (project ctx ps schema ra)
   | Lera.Join (_, _, q) when is_false q -> Relation.empty (rel_schema ctx r)
   | Lera.Join (a, b, q) ->
     let ra = eval ctx a and rb = eval ctx b in
     let schema = ra.Relation.schema @ rb.Relation.schema in
     let out =
-      collect_joined ctx [ ra; rb ] q (fun combo ->
+      joined ctx [ ra; rb ] q (fun combo ->
           match combo with [ ta; tb ] -> ta @ tb | _ -> assert false)
     in
     produce stats (Relation.make schema out)
@@ -744,20 +661,10 @@ and eval_node ctx (r : Lera.rel) : Relation.t =
     | first :: rest -> produce stats (List.fold_left Relation.union first rest))
   | Lera.Diff (a, b) ->
     let ra = eval ctx a and rb = eval ctx b in
-    let out =
-      match columnar_members ctx ~keep_found:false ra rb with
-      | Some d -> d
-      | None -> Relation.diff ra rb
-    in
-    produce stats out
+    produce stats (set_op ctx Relation.diff ra rb)
   | Lera.Inter (a, b) ->
     let ra = eval ctx a and rb = eval ctx b in
-    let out =
-      match columnar_members ctx ~keep_found:true ra rb with
-      | Some d -> d
-      | None -> Relation.inter ra rb
-    in
-    produce stats out
+    produce stats (set_op ctx Relation.inter ra rb)
   | Lera.Search (_, q, _) when is_false q -> Relation.empty (rel_schema ctx r)
   | Lera.Search (rs, q, ps) -> (
     let inputs = List.map (eval ctx) rs in
@@ -769,7 +676,7 @@ and eval_node ctx (r : Lera.rel) : Relation.t =
       produce stats (Relation.with_schema schema ra)
     | _ ->
       let out =
-        collect_joined ctx inputs q (fun combo ->
+        joined ctx inputs q (fun combo ->
             List.map (fun p -> Expr_eval.eval db ~inputs:combo p) ps)
       in
       produce stats (Relation.make schema out))
@@ -882,11 +789,11 @@ and naive_fixpoint ctx n body schema =
 (* Differential evaluation: arms without the recursion variable seed the
    result; each cycle re-evaluates every recursive arm once per occurrence
    of the variable, substituting the delta for that occurrence and the
-   accumulated relation for the others.  The accumulated [total] carries
-   a hash-set view (Relation.index), so the freshness test per produced
-   tuple is O(1); under the Indexed physical layer the per-arm delta
-   substitution additionally goes through the hash-join machinery, so an
-   iteration touches only tuples joinable with the delta. *)
+   accumulated relation for the others.  The freshness test indexes the
+   accumulated [total]'s columns, so it is O(1) per produced tuple;
+   under the Indexed physical layer the per-arm delta substitution
+   additionally goes through the hash join, so an iteration touches
+   only tuples joinable with the delta. *)
 and seminaive_fixpoint ctx n body schema =
   let arms = match body with Lera.Union rs -> rs | r -> [ r ] in
   let is_recursive arm = count_occurrences n arm > 0 in
@@ -915,9 +822,8 @@ and seminaive_fixpoint ctx n body schema =
           ("fix-iteration:" ^ n);
       (* fold the per-occurrence variants into one candidate relation
          (union dedups exactly what the sort_uniq of [Relation.make]
-         used to), then subtract [total] — columnar whole-row diff when
-         both sides qualify, the hash-set diff otherwise; neither counts
-         anything, and both produce the same set *)
+         used to), then subtract [total] by whole-row membership over
+         the columns, which counts no work *)
       let candidates =
         List.fold_left
           (fun acc arm ->
@@ -935,18 +841,14 @@ and seminaive_fixpoint ctx n body schema =
               (List.init occurrences (fun i -> i + 1)))
           (Relation.empty schema) rec_arms
       in
-      let delta' =
-        match columnar_members ctx ~keep_found:false candidates total with
-        | Some d -> d
-        | None -> Relation.diff candidates total
-      in
+      let delta' = set_op ctx Relation.diff candidates total in
       iterate (Relation.union total delta') delta'
     end
   in
   if rec_arms = [] then base else iterate base base
 
-let run ?mode ?physical ?stats ?rvars ?columnar ?fix_cache db r =
-  run_ctx ?mode ?physical ?stats ?rvars ?columnar ?fix_cache db r
+let run ?mode ?physical ?stats ?rvars ?fix_cache db r =
+  run_ctx ?mode ?physical ?stats ?rvars ?fix_cache db r
 
 (* -- report collapse ------------------------------------------------------ *)
 
@@ -1002,11 +904,9 @@ and node_of_raw rw =
     children = collapse rw.rw_kids;
   }
 
-let run_analyzed ?mode ?physical ?stats ?rvars ?columnar ?fix_cache db r =
+let run_analyzed ?mode ?physical ?stats ?rvars ?fix_cache db r =
   let a = { an_stack = []; an_roots = [] } in
-  let rel =
-    run_ctx ?mode ?physical ?stats ?rvars ?columnar ?fix_cache ~analyze:a db r
-  in
+  let rel = run_ctx ?mode ?physical ?stats ?rvars ?fix_cache ~analyze:a db r in
   let report =
     match collapse (List.rev a.an_roots) with
     | [ n ] -> n

@@ -35,11 +35,12 @@ type stats = {
       (** closed-fixpoint memo hits — each one skips a whole fixpoint *)
   mutable fix_cache_misses : int;  (** closed fixpoints actually computed *)
   mutable columnar_ops : int;
-      (** operator evaluations that took a vectorized (columnar) fast
-          path.  Every {e other} field is identical between the boxed
-          and columnar paths by construction, so this is pure
-          provenance: it never participates in cross-layer counter
-          comparisons. *)
+      (** operator evaluations that ran over the columns under
+          {!Physical.Indexed}: hash joins, compiled filters, column-pick
+          projections and non-empty diff/inter.  Zero under
+          {!Physical.Naive}; [Opaque] filters and searches without an
+          equi conjunct never count.  Pure provenance: it never
+          participates in cross-layer counter comparisons. *)
 }
 
 val fresh_stats : unit -> stats
@@ -58,8 +59,9 @@ module Physical : sig
     | Naive
         (** cartesian enumeration + post-filter — the golden reference *)
     | Indexed
-        (** hash joins on extracted equi conjuncts ({!Join_plan}),
-            set-backed relations; produces identical results *)
+        (** hash joins on extracted equi conjuncts ({!Join_plan}) and
+            compiled filters, all over the relations' columns
+            ({!Column}); produces identical results *)
 
   val to_string : t -> string
   val of_string : string -> t option
@@ -107,21 +109,13 @@ val run :
   ?physical:Physical.t ->
   ?stats:stats ->
   ?rvars:(string * Relation.t) list ->
-  ?columnar:bool ->
   ?fix_cache:Shared_fix_cache.t ->
   Database.t ->
   Lera.rel ->
   Relation.t
 (** Evaluate an expression.  [rvars] supplies bindings for free recursion
     variables (used internally and by tests).  Default mode is
-    [Seminaive]; default physical layer is [Indexed].  [columnar]
-    enables the vectorized fast paths of the Indexed layer
-    (join, filter, project, diff/inter, semi-naive freshness) for
-    operators whose operands have a columnar shadow ({!Column}); it
-    defaults to {!Column.enabled} and is forced off under
-    {!Physical.Naive}, whose boxed enumeration is the counter oracle.
-    Results and all {!stats} fields except [columnar_ops] are identical
-    either way.  [fix_cache] attaches a {!Shared_fix_cache} so closed
+    [Seminaive]; default physical layer is [Indexed].  [fix_cache] attaches a {!Shared_fix_cache} so closed
     fixpoints memoized by a previous run can be reused (validated
     per-relation against this run's database); without it every run gets
     a fresh private memo, preserving exact counter parity across layers.
@@ -146,8 +140,10 @@ type node_report = {
   mutable probes : int;  (** exclusive of children *)
   mutable builds : int;  (** exclusive of children *)
   mutable columnar : bool;
-      (** this node itself (exclusive of children) took a columnar fast
-          path at least once — the [layout=] tag of EXPLAIN ANALYZE *)
+      (** this node itself (exclusive of children) counted a
+          [columnar_ops] at least once — the [layout=] tag of EXPLAIN
+          ANALYZE; [layout=boxed] marks Naive evaluation, [Opaque]
+          filters and searches without an equi conjunct *)
   mutable children : node_report list;  (** first-execution order *)
 }
 
@@ -156,7 +152,6 @@ val run_analyzed :
   ?physical:Physical.t ->
   ?stats:stats ->
   ?rvars:(string * Relation.t) list ->
-  ?columnar:bool ->
   ?fix_cache:Shared_fix_cache.t ->
   Database.t ->
   Lera.rel ->

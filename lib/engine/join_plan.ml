@@ -2,19 +2,18 @@
    evaluator (Eval.Physical.Indexed).
 
    [analyze] splits the qualification of a Search/Join into equi-join
-   conjuncts — [i.j = k.l] with i <> k, both operands in range — and a
-   residual conjunction of everything else.  [execute] then enumerates
-   exactly the operand combinations satisfying every equi conjunct:
-   operands are taken greedily by cardinality (preferring ones connected
-   to the already-bound set), each new operand is loaded into a hash
-   index on its join columns (one [on_build] per tuple) and the
-   accumulated partial combinations probe it (one [on_probe] per
-   partial).  The caller applies the residual to the yielded
-   combinations — which arrive in original operand order — so the naive
-   cartesian enumerator and this path agree bit-for-bit on results. *)
+   conjuncts — [i.j = k.l] with i <> k, both columns in range — and a
+   residual conjunction of everything else.  [execute_columnar] then
+   enumerates exactly the operand combinations satisfying every equi
+   conjunct: operands are taken greedily by cardinality (preferring ones
+   connected to the already-bound set), each new operand is loaded into
+   a hash index on its join columns (one [on_build] per row) and the
+   partial combinations probe it (one [on_probe] per partial).  The
+   caller applies the residual to the yielded combinations — row numbers
+   in original operand order — so the naive cartesian enumerator and
+   this path agree bit-for-bit on results. *)
 
 module Lera = Eds_lera.Lera
-module Value = Eds_value.Value
 
 type equi = {
   left : int * int;  (** (operand, column), 1-based, the lower operand *)
@@ -27,10 +26,12 @@ type t = {
   residual : Lera.scalar;
 }
 
-let analyze ~operands q =
+let analyze ~arities q =
+  let operands = Array.length arities in
+  let in_range i j = i >= 1 && i <= operands && j >= 1 && j <= arities.(i - 1) in
   let is_equi = function
     | Lera.Call ("=", [ Lera.Col (i, j); Lera.Col (k, l) ])
-      when i <> k && i >= 1 && i <= operands && k >= 1 && k <= operands ->
+      when i <> k && in_range i j && in_range k l ->
       Some (if i < k then { left = (i, j); right = (k, l) } else { left = (k, l); right = (i, j) })
     | _ -> None
   in
@@ -93,125 +94,6 @@ let greedy_order p (cards : int array) =
   done;
   List.rev !order
 
-let execute ~on_build ~on_probe p (rels : Relation.t array)
-    (yield : Relation.tuple list -> unit) =
-  let n = Array.length rels in
-  if n = 0 then yield [] (* zero operands: the one empty combination *)
-  else if Array.exists Relation.is_empty rels then ()
-  else begin
-    let cards = Array.map Relation.cardinality rels in
-    let order = greedy_order p cards in
-    let bound = Array.make n false in
-    let combos = ref [] in
-    List.iteri
-      (fun step k ->
-        if step = 0 then
-          combos :=
-            List.map
-              (fun tup ->
-                let c = Array.make n [] in
-                c.(k) <- tup;
-                c)
-              rels.(k).Relation.tuples
-        else begin
-          let edges = edges_to_bound p bound k in
-          match edges with
-          | [] ->
-            (* cartesian step: no equi edge reaches [k] yet *)
-            combos :=
-              List.concat_map
-                (fun combo ->
-                  List.map
-                    (fun tup ->
-                      let c = Array.copy combo in
-                      c.(k) <- tup;
-                      c)
-                    rels.(k).Relation.tuples)
-                !combos
-          | _ -> (
-            let build_cols = List.map snd edges in
-            let key_of_tuple tup = List.map (fun j -> List.nth tup (j - 1)) build_cols in
-            let probe_key combo =
-              List.map (fun ((b, j), _) -> List.nth combo.(b) (j - 1)) edges
-            in
-            match rels.(k).Relation.tuples with
-            | [ only ] ->
-              (* single-tuple operand: comparing against it directly is the
-                 same work as the eventual residual test, so no index is
-                 built and neither counter fires — this also keeps total
-                 probes within the naive combination count on degenerate
-                 all-singleton joins *)
-              let key = key_of_tuple only in
-              combos :=
-                List.filter_map
-                  (fun combo ->
-                    if Relation.compare_tuples (probe_key combo) key = 0 then begin
-                      let c = Array.copy combo in
-                      c.(k) <- only;
-                      Some c
-                    end
-                    else None)
-                  !combos
-            | tuples ->
-              let index = Relation.Tuple_tbl.create (max 16 cards.(k)) in
-              List.iter
-                (fun tup ->
-                  on_build ();
-                  let key = key_of_tuple tup in
-                  let prev =
-                    match Relation.Tuple_tbl.find_opt index key with
-                    | Some ts -> ts
-                    | None -> []
-                  in
-                  Relation.Tuple_tbl.replace index key (tup :: prev))
-                tuples;
-              combos :=
-                List.concat_map
-                  (fun combo ->
-                    on_probe ();
-                    match Relation.Tuple_tbl.find_opt index (probe_key combo) with
-                    | None -> []
-                    | Some matches ->
-                      List.rev_map
-                        (fun tup ->
-                          let c = Array.copy combo in
-                          c.(k) <- tup;
-                          c)
-                        matches)
-                  !combos)
-        end;
-        bound.(k) <- true)
-      order;
-    List.iter (fun combo -> yield (Array.to_list combo)) !combos
-  end
-
-(* -- the columnar executor (Indexed with qualifying schemas) ---------------
-
-   Same combination set and the same probe/build counter totals as
-   [execute] (single-tuple operands compare directly with no counters,
-   cartesian steps count nothing, and each partial that reaches a hash
-   step probes once, whether the partials are materialized step by
-   step, as in [execute], or walked depth-first, as here), but the inner
-   loops never touch a boxed [Value.t]: operands are typed column
-   arrays, probe keys hash and compare as packed ints ({!Column.Index}),
-   and a match yields the per-operand *row numbers* so the caller
-   materializes tuples only for combinations that survive its
-   residual.
-
-   Callers must check {!columnar_ok} first: every equi edge needs its
-   two columns in range and of equal flavor, because the int fast path
-   cannot see [Value.compare]'s Int/Real cross-equality. *)
-
-let columnar_ok p (tables : Column.table array) =
-  List.for_all
-    (fun { left = li, lj; right = ri, rj } ->
-      let ok (i, j) = j >= 1 && j <= Array.length tables.(i - 1).Column.cols in
-      ok (li, lj)
-      && ok (ri, rj)
-      && Column.flavor tables.(li - 1).Column.cols.(lj - 1)
-         = Column.flavor tables.(ri - 1).Column.cols.(rj - 1))
-    p.equis
-
 type cstep =
   | C_scan of int
   | C_single of {
@@ -227,7 +109,13 @@ type cstep =
       pops : int array;
     }
 
-let execute_columnar ~on_build ~on_probe p (tables : Column.table array)
+(* Same combination set and probe/build totals whether the partials are
+   materialized step by step or walked depth-first, as here: single-row
+   operands compare directly with no counters, cartesian steps count
+   nothing, and each partial reaching a hash step probes once.  The
+   inner loops compare typed cells; an edge between columns of different
+   flavors boxes just those two columns ({!Column.unify}). *)
+let enumerate ~on_build ~on_probe p (tables : Column.table array)
     (yield : int array -> unit) =
   let n = Array.length tables in
   let cards = Array.map (fun (t : Column.table) -> t.Column.nrows) tables in
@@ -243,29 +131,22 @@ let execute_columnar ~on_build ~on_probe p (tables : Column.table array)
         match edges with
         | [] -> C_scan k
         | edges ->
-          let key_cols =
-            Array.of_list (List.map (fun (_, j) -> j - 1) edges)
-          in
-          let pkey =
+          let pairs =
             Array.of_list
               (List.map
-                 (fun ((b, j), _) -> tables.(b).Column.cols.(j - 1))
+                 (fun ((b, j), l) ->
+                   Column.unify tables.(b).Column.cols.(j - 1)
+                     tables.(k).Column.cols.(l - 1))
                  edges)
           in
+          let pkey = Array.map fst pairs and bkey = Array.map snd pairs in
           let pops = Array.of_list (List.map (fun ((b, _), _) -> b) edges) in
-          if cards.(k) = 1 then
-            C_single
-              {
-                op = k;
-                skey = Array.map (fun c -> tables.(k).Column.cols.(c)) key_cols;
-                pkey;
-                pops;
-              }
+          if cards.(k) = 1 then C_single { op = k; skey = bkey; pkey; pops }
           else
             C_probe
               {
                 op = k;
-                index = Column.Index.build ~on_build tables.(k) ~key_cols;
+                index = Column.Index.build ~on_build ~nrows:cards.(k) bkey;
                 pkey;
                 pops;
               })
@@ -323,3 +204,8 @@ let execute_columnar ~on_build ~on_probe p (tables : Column.table array)
     current.(driver) <- i;
     go 0 steps
   done
+
+(* an empty operand has no combinations: return before any index is built *)
+let execute_columnar ~on_build ~on_probe p tables yield =
+  if not (Array.exists (fun (t : Column.table) -> t.Column.nrows = 0) tables)
+  then enumerate ~on_build ~on_probe p tables yield

@@ -455,12 +455,13 @@ let maintain_view t ~physical ?stats ~recompute_cost scratch ~changed
 
 let apply t ~physical ?stats ?recompute_cost db ~table ~before ~after :
     (string * Relation.t) list =
+  let base_update = [ (table, after) ] in
+  (* the deltas cost two whole-row diffs: only a dependent view needs them *)
+  if not (List.exists (fun v -> List.mem table v.deps) t.views) then base_update
+  else
   let plus = Relation.diff after before in
   let minus = Relation.diff before after in
-  let base_update = [ (table, after) ] in
-  let dependents = List.exists (fun v -> List.mem table v.deps) t.views in
-  if (Relation.is_empty plus && Relation.is_empty minus) || not dependents then
-    base_update
+  if Relation.is_empty plus && Relation.is_empty minus then base_update
   else begin
     let recompute_cost =
       match recompute_cost with

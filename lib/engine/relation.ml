@@ -30,8 +30,6 @@ end
 
 module Tuple_tbl = Hashtbl.Make (Tuple_key)
 
-type index = unit Tuple_tbl.t
-
 (* A derived view, built on first use.  Unlike [Lazy.t] it is safe to
    force from several threads at once: each racer computes the view from
    the immutable tuples and publishes it with one compare-and-set; a
@@ -50,8 +48,7 @@ type t = {
   schema : Schema.t;
   tuples : tuple list;
   card : int;
-  index : index memo;
-  cols : Column.table option memo;
+  cols : Column.table memo;
 }
 
 (* sorted, duplicate-free input *)
@@ -60,7 +57,6 @@ let of_sorted schema tuples =
     schema;
     tuples;
     card = List.length tuples;
-    index = Atomic.make None;
     cols = Atomic.make None;
   }
 
@@ -77,8 +73,8 @@ let make schema tuples =
 
 let empty schema = of_sorted schema []
 
-(* retag under a same-arity schema: tuples, membership index and the
-   columnar shadow are all schema-name-independent, so they are shared *)
+(* retag under a same-arity schema: the tuples and the columnar shadow
+   are schema-name-independent, so they are shared *)
 let with_schema schema r =
   if Schema.arity schema <> Schema.arity r.schema then
     invalid_arg
@@ -89,13 +85,7 @@ let with_schema schema r =
 let cardinality r = r.card
 let is_empty r = r.card = 0
 
-let build_index r =
-  let tbl = Tuple_tbl.create (max 16 r.card) in
-  List.iter (fun tup -> Tuple_tbl.replace tbl tup ()) r.tuples;
-  tbl
-
-let index r = memo_force r.index build_index r
-let mem tup r = r.card > 0 && Tuple_tbl.mem (index r) tup
+let mem tup r = List.exists (fun t -> compare_tuples t tup = 0) r.tuples
 
 (* The columnar shadow is derived from the canonical tuple list of each
    relation (never carried over from an operand), so set operations can
@@ -144,21 +134,32 @@ let union a b =
     of_sorted a.schema (merge [] a.tuples b.tuples)
   end
 
+(* Whole-row membership over the columns: index [b] on every column,
+   probe each row of [a] allocation-free and keep the (non-)members as
+   an order-preserving subset.  Columns of differing flavors are boxed
+   pairwise, so [Value.compare]'s cross-equalities hold. *)
+let members ~keep_found a b =
+  let ta = columns a and tb = columns b in
+  let pairs = Array.map2 Column.unify ta.Column.cols tb.Column.cols in
+  let key = Array.map fst pairs in
+  let idx = Column.Index.build ~nrows:b.card (Array.map snd pairs) in
+  let width = Array.length key in
+  let rows = Array.make width 0 in
+  filteri
+    (fun i _ ->
+      Array.fill rows 0 width i;
+      (Column.Index.first idx ~key ~rows >= 0) = keep_found)
+    a
+
 let diff a b =
   check_arity "diff" a b;
-  if a.card = 0 || b.card = 0 then a
-  else
-    let idx = index b in
-    of_sorted a.schema
-      (List.filter (fun t -> not (Tuple_tbl.mem idx t)) a.tuples)
+  if a.card = 0 || b.card = 0 then a else members ~keep_found:false a b
 
 let inter a b =
   check_arity "inter" a b;
   if a.card = 0 then a
   else if b.card = 0 then empty a.schema
-  else
-    let idx = index b in
-    of_sorted a.schema (List.filter (fun t -> Tuple_tbl.mem idx t) a.tuples)
+  else members ~keep_found:true a b
 
 let pp ppf r =
   let names = List.map fst r.schema in

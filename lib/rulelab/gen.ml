@@ -1,8 +1,8 @@
 (* Randomized schema-correct LERA plans and database instances — the
    qcheck generators that power the physical-layer equivalence suite,
    extracted here so the rule verifier can reuse them (the same plan
-   distribution that checks Naive ≡ boxed Indexed ≡ columnar Indexed
-   also checks rewritten ≡ unrewritten).
+   distribution that checks Naive ≡ Indexed also checks rewritten ≡
+   unrewritten).
 
    Generated plans range over a fixed four-relation schema (R0, R1
    binary; R2 ternary; EDGE binary) with small integer domains, so

@@ -4,7 +4,8 @@
 
     Extracted from the physical-layer equivalence suite so the rule
     verifier ({!Verify}) draws from the same plan distribution that
-    checks Naive ≡ boxed Indexed ≡ columnar Indexed. *)
+    checks Naive ≡ Indexed (the physical suite also runs it over a copy
+    of {!db} whose R2 mixes Int/Real and Null/Bool cells). *)
 
 module Lera = Eds_lera.Lera
 module Database = Eds_engine.Database

@@ -77,6 +77,11 @@ let m_conn_active =
 
 let m_slow = Metrics.counter ~help:"Queries over the slow-query threshold" "eds_slow_queries_total"
 
+let m_rejected_line =
+  Metrics.counter ~help:"Requests rejected before dispatch, by reason"
+    ~labels:[ ("reason", "line_too_long") ]
+    "eds_requests_rejected_total"
+
 type counters = {
   accepted : int;
   refused : int;
@@ -591,6 +596,51 @@ let process t conn_id raw =
 (* ------------------------------------------------------------------ *)
 (* connection lifecycle                                                *)
 
+(* Longest request line read, newline excluded.  A client sending a
+   longer line gets an error and is disconnected, so no line can grow
+   the server's memory without bound. *)
+let max_line_bytes = 1 lsl 20
+
+exception Line_too_long
+
+(* Request lines read off a connection, [max_line_bytes] at most: bytes
+   come from the channel a chunk at a time and are scanned for the
+   newline here, so an ordinary request costs one [input] call. *)
+type line_reader = {
+  ic : in_channel;
+  chunk : Bytes.t;
+  mutable pos : int;
+  mutable len : int;  (** [chunk.[pos .. len-1]] is unread *)
+  line : Buffer.t;  (** the line so far, when it spans chunks *)
+}
+
+let line_reader ic =
+  { ic; chunk = Bytes.create 4096; pos = 0; len = 0; line = Buffer.create 256 }
+
+(* Like [input_line]: the line without its newline, or the unterminated
+   rest at end of input; [End_of_file] when nothing is left. *)
+let read_line r =
+  Buffer.reset r.line;
+  let rec newline i = if i >= r.len || Bytes.get r.chunk i = '\n' then i else newline (i + 1) in
+  let rec go () =
+    if r.pos >= r.len then begin
+      r.pos <- 0;
+      r.len <- input r.ic r.chunk 0 (Bytes.length r.chunk);
+      if r.len > 0 then go ()
+      else if Buffer.length r.line = 0 then raise End_of_file
+      else Buffer.contents r.line
+    end
+    else begin
+      let i = newline r.pos in
+      if Buffer.length r.line + (i - r.pos) > max_line_bytes then
+        raise Line_too_long;
+      Buffer.add_subbytes r.line r.chunk r.pos (i - r.pos);
+      r.pos <- i + 1;
+      if i < r.len then Buffer.contents r.line else go ()
+    end
+  in
+  go ()
+
 let handle_connection t conn_id fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
@@ -621,10 +671,18 @@ let handle_connection t conn_id fd =
     try Unix.close fd with _ -> ()
   in
   Fun.protect ~finally (fun () ->
+      let reader = line_reader ic in
       let rec loop () =
-        match input_line ic with
+        match read_line reader with
         | exception (End_of_file | Sys_error _) -> ()
         | exception Unix.Unix_error _ -> ()
+        | exception Line_too_long ->
+            Metrics.Counter.incr m_rejected_line;
+            let payload =
+              Printf.sprintf "error: request line longer than %d bytes\n"
+                max_line_bytes
+            in
+            (try Protocol.write_response oc Protocol.Error payload with _ -> ())
         | raw -> (
             match process t conn_id raw with
             | `Reply (status, payload) -> (
@@ -818,7 +876,7 @@ let stop t =
      with _ -> ());
     (match t.accept_thread with Some th -> Thread.join th | None -> ());
     (try Unix.close t.listen_fd with _ -> ());
-    (* sever live connections: their blocked [input_line] sees EOF *)
+    (* sever live connections: their blocked line read sees EOF *)
     let fds = locked t (fun () -> Hashtbl.fold (fun _ fd acc -> fd :: acc) t.conns []) in
     List.iter (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ()) fds;
     let threads = locked t (fun () -> t.conn_threads) in

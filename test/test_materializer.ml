@@ -3,8 +3,8 @@
    recompute for non-monotone plans), the shared per-relation fixpoint
    cache, the columnar Enum flavor, and two qcheck properties — random
    DML/refresh interleavings keep every maintained extent bit-identical
-   to a never-materialized oracle under all four physical/columnar
-   configurations, and a kill-and-replay run recovers the extents. *)
+   to a never-materialized oracle under both physical layers, and a
+   kill-and-replay run recovers the extents. *)
 
 module Value = Eds_value.Value
 module Session = Eds.Session
@@ -265,25 +265,21 @@ let test_columnar_enum () =
       [ Value.Int 2; Value.Enum ("color", "blue") ];
     ]
   in
-  (match Column.of_tuples ~arity:2 2 tuples with
-  | None -> Alcotest.fail "enum-keyed tuples should qualify for columnar"
-  | Some t ->
-    Alcotest.(check bool) "enum column has id flavor" true
-      (Column.flavor t.Column.cols.(1) = Column.F_id);
-    let v = Column.value_at t ~row:1 ~col:1 in
-    Alcotest.(check bool) "type name survives round trip" true
-      (v = Value.Enum ("color", "blue")));
-  (* mixing enum types, or enum with plain strings, still bails *)
-  Alcotest.(check bool) "mixed enum types bail" true
-    (Column.of_tuples ~arity:1 2
-       [ [ Value.Enum ("a", "x") ]; [ Value.Enum ("b", "x") ] ]
-    = None);
-  Alcotest.(check bool) "enum/str mix bails" true
-    (Column.of_tuples ~arity:1 2 [ [ Value.Enum ("a", "x") ]; [ Value.Str "x" ] ]
-    = None);
+  let t = Column.of_tuples ~arity:2 2 tuples in
+  Alcotest.(check bool) "enum column has id flavor" true
+    (Column.flavor t.Column.cols.(1) = Column.F_id);
+  let v = Column.value_at t ~row:1 ~col:1 in
+  Alcotest.(check bool) "type name survives round trip" true
+    (v = Value.Enum ("color", "blue"));
+  (* mixing enum types, or enum with plain strings, boxes the column *)
+  let flavor0 tuples = Column.flavor (Column.of_tuples ~arity:1 2 tuples).Column.cols.(0) in
+  Alcotest.(check bool) "mixed enum types are boxed" true
+    (flavor0 [ [ Value.Enum ("a", "x") ]; [ Value.Enum ("b", "x") ] ]
+    = Column.F_value);
+  Alcotest.(check bool) "enum/str mix is boxed" true
+    (flavor0 [ [ Value.Enum ("a", "x") ]; [ Value.Str "x" ] ] = Column.F_value);
   (* end to end: a hash join keyed on enum columns takes the vectorized
-     path — before the Enums flavor any enum operand forced the whole
-     join back to the boxed executor *)
+     path *)
   let s = Session.create () in
   setup s;
   List.iter (exec s)
@@ -293,21 +289,16 @@ let test_columnar_enum () =
       "INSERT INTO NODE VALUES (3, 'red')";
       "INSERT INTO PAINT VALUES ('red', 10)"; "INSERT INTO PAINT VALUES ('green', 20)";
     ];
-  let was = Column.enabled () in
-  Column.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Column.set_enabled was)
-    (fun () ->
-      let es = Session.eval_stats s in
-      let before = es.Eval.columnar_ops in
-      let rel =
-        Session.query s
-          "SELECT NODE.Id, PAINT.Price FROM NODE, PAINT WHERE NODE.Tint = \
-           PAINT.Hue"
-      in
-      Alcotest.(check int) "join result" 2 (Relation.cardinality rel);
-      Alcotest.(check bool) "columnar fast path engaged" true
-        (es.Eval.columnar_ops > before))
+  let es = Session.eval_stats s in
+  let before = es.Eval.columnar_ops in
+  let rel =
+    Session.query s
+      "SELECT NODE.Id, PAINT.Price FROM NODE, PAINT WHERE NODE.Tint = \
+       PAINT.Hue"
+  in
+  Alcotest.(check int) "join result" 2 (Relation.cardinality rel);
+  Alcotest.(check bool) "columnar fast path engaged" true
+    (es.Eval.columnar_ops > before)
 
 (* -- unit: storage round trip preserves extents -------------------------- *)
 
@@ -388,50 +379,37 @@ let print_scenario (sel, ops) =
     (Fmt.list ~sep:Fmt.comma (fun ppf (n, _, _) -> Fmt.string ppf n))
     (views_of_selection sel) (List.length ops)
 
-let configs =
-  [
-    (Eval.Physical.Naive, false);
-    (Eval.Physical.Indexed, false);
-    (Eval.Physical.Indexed, true);
-  ]
+let layers = [ Eval.Physical.Naive; Eval.Physical.Indexed ]
 
-let run_scenario ~physical ~columnar (sel, ops) =
+let run_scenario ~physical (sel, ops) =
   let views = views_of_selection sel in
-  let was = Column.enabled () in
-  Column.set_enabled columnar;
-  Fun.protect
-    ~finally:(fun () -> Column.set_enabled was)
-    (fun () ->
-      let subject = Session.create () and oracle = Session.create () in
-      List.iter
-        (fun s ->
-          Session.set_physical s physical;
-          setup s)
-        [ subject; oracle ];
-      List.iter (create_view ~materialized:true subject) views;
-      List.iter (create_view ~materialized:false oracle) views;
-      List.iteri
-        (fun i op ->
-          match stmt_of_op views op with
-          | None -> ()
-          | Some stmt ->
-            exec subject stmt;
-            (* REFRESH only exists on the materialized side *)
-            (match op with Do_refresh _ -> () | _ -> exec oracle stmt);
-            check_against_oracle
-              ~ctx:
-                (Fmt.str "op %d (%s) under %s/columnar=%b" i stmt
-                   (Eval.Physical.to_string physical)
-                   columnar)
-              subject oracle views)
-        ops)
+  let subject = Session.create () and oracle = Session.create () in
+  List.iter
+    (fun s ->
+      Session.set_physical s physical;
+      setup s)
+    [ subject; oracle ];
+  List.iter (create_view ~materialized:true subject) views;
+  List.iter (create_view ~materialized:false oracle) views;
+  List.iteri
+    (fun i op ->
+      match stmt_of_op views op with
+      | None -> ()
+      | Some stmt ->
+        exec subject stmt;
+        (* REFRESH only exists on the materialized side *)
+        (match op with Do_refresh _ -> () | _ -> exec oracle stmt);
+        check_against_oracle
+          ~ctx:
+            (Fmt.str "op %d (%s) under %s" i stmt
+               (Eval.Physical.to_string physical))
+          subject oracle views)
+    ops
 
 let prop_maintenance_matches_recompute =
-  QCheck2.Test.make ~name:"maintained extents = full recompute (4 configs)"
+  QCheck2.Test.make ~name:"maintained extents = full recompute (2 layers)"
     ~count:15 ~print:print_scenario gen_scenario (fun scenario ->
-      List.iter
-        (fun (physical, columnar) -> run_scenario ~physical ~columnar scenario)
-        configs;
+      List.iter (fun physical -> run_scenario ~physical scenario) layers;
       true)
 
 (* -- qcheck: kill-and-replay recovers extents ---------------------------- *)

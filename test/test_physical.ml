@@ -1,51 +1,44 @@
 (* The physical evaluation layer (Eval.Physical): the indexed hash-join
-   evaluator, boxed and columnar, against the naive cartesian reference.
+   evaluator, which runs over the relations' columns, against the naive
+   cartesian reference.
 
-   - golden cross-mode suite: on every fixture plan, Naive, boxed Indexed
-     and columnar Indexed produce Relation.equal results;
+   - golden cross-mode suite: on every fixture plan, Naive and Indexed
+     produce Relation.equal results;
    - work bounds: the Figure-8-shaped selective join stays within a
      hash-work budget that the naive layer exceeds by orders of
      magnitude;
    - set-operation operand validation (union/diff/inter arity errors);
    - Join_plan equi-conjunct extraction;
-   - a qcheck property over random schema-correct LERA plans: the three
-     configurations (Naive, boxed Indexed, columnar Indexed) agree, the
-     columnar counters equal the boxed ones, the indexed layer's
-     combinations and probes never exceed the naive layer's
-     combinations, and in every configuration a plain run, an EXPLAIN
-     ANALYZE run and a traced run (with and without the analysis) give
-     the same result and the same stats, with the report's exclusive
-     counters summing to those stats;
-   - columnar activation: qualifying all-scalar plans actually take the
-     vectorized paths (columnar_ops > 0) and mixed-flavor or
-     disqualified inputs fall back with identical results. *)
+   - a qcheck property over random schema-correct LERA plans, on the
+     all-Int database and on one whose R2 mixes cells: Naive and Indexed
+     agree, the indexed layer's combinations and probes never exceed the
+     naive layer's combinations, and in both layers a plain run, an
+     EXPLAIN ANALYZE run and a traced run (with and without the
+     analysis) give the same result and the same stats, with the
+     report's exclusive counters summing to those stats;
+   - columnar activation: all-scalar plans take the vectorized paths
+     (columnar_ops > 0), a column of mixed or boxed cells falls back for
+     that column only, and an empty operand builds nothing. *)
 
 module Value = Eds_value.Value
 module Vtype = Eds_value.Vtype
 module Lera = Eds_lera.Lera
 module Relation = Eds_engine.Relation
 module Database = Eds_engine.Database
+module Column = Eds_engine.Column
 module Eval = Eds_engine.Eval
 module Join_plan = Eds_engine.Join_plan
 
-(* boxed runs: ~columnar:false pins the representation so the matrix
-   below stays meaningful even though EDS_COLUMNAR defaults on *)
-let run_both ?mode db rel =
-  let sn = Eval.fresh_stats () and si = Eval.fresh_stats () in
-  let rn = Eval.run ?mode ~physical:Eval.Physical.Naive ~stats:sn db rel in
-  let ri =
-    Eval.run ?mode ~physical:Eval.Physical.Indexed ~columnar:false ~stats:si db
-      rel
-  in
-  ((rn, sn), (ri, si))
-
-let run_columnar ?mode ~physical db rel =
+let run ?mode ~physical db rel =
   let s = Eval.fresh_stats () in
-  let r = Eval.run ?mode ~physical ~columnar:true ~stats:s db rel in
+  let r = Eval.run ?mode ~physical ~stats:s db rel in
   (r, s)
 
-(* every counter except the columnar provenance, including the hash work
-   and the fix-cache ones: boxed and columnar runs must agree exactly *)
+let run_both ?mode db rel =
+  ( run ?mode ~physical:Eval.Physical.Naive db rel,
+    run ?mode ~physical:Eval.Physical.Indexed db rel )
+
+(* every counter except the columnar provenance *)
 let stats_equal (a : Eval.stats) (b : Eval.stats) =
   a.Eval.combinations = b.Eval.combinations
   && a.Eval.tuples_read = b.Eval.tuples_read
@@ -68,15 +61,7 @@ let check_agree ?mode name db rel =
     (Fmt.str "%s: probes %d <= naive combos %d" name si.Eval.probes
        sn.Eval.combinations)
     true
-    (si.Eval.probes <= sn.Eval.combinations);
-  let rc, sc = run_columnar ?mode ~physical:Eval.Physical.Indexed db rel in
-  Alcotest.(check bool)
-    (name ^ ": columnar indexed equals boxed indexed")
-    true (Relation.equal ri rc);
-  Alcotest.(check bool)
-    (Fmt.str "%s: columnar counters equal boxed (%a vs %a)" name Eval.pp_stats
-       sc Eval.pp_stats si)
-    true (stats_equal sc si)
+    (si.Eval.probes <= sn.Eval.combinations)
 
 (* -- golden cross-mode fixtures ----------------------------------------- *)
 
@@ -237,15 +222,19 @@ let test_join_plan_analyze () =
         Lera.Call ("<", [ Lera.col 1 1; Lera.col 2 2 ]);
       ]
   in
-  let p = Join_plan.analyze ~operands:2 q in
+  let p = Join_plan.analyze ~arities:[| 2; 2 |] q in
   Alcotest.(check int) "one equi conjunct" 1 (Join_plan.equi_count p);
   Alcotest.(check int) "three residual conjuncts" 3
     (List.length (Lera.conjuncts (Join_plan.residual p)));
   (* a col=col pair that refers outside the operand range is residual *)
-  let p1 = Join_plan.analyze ~operands:1 (Lera.eq (Lera.col 1 2) (Lera.col 2 1)) in
+  let p1 = Join_plan.analyze ~arities:[| 2 |] (Lera.eq (Lera.col 1 2) (Lera.col 2 1)) in
   Alcotest.(check bool) "out-of-range pair is not an equi" false
     (Join_plan.has_equis p1);
-  let p0 = Join_plan.analyze ~operands:2 Lera.tru in
+  (* so is one naming a column past its operand's arity *)
+  let p2 = Join_plan.analyze ~arities:[| 2; 2 |] (Lera.eq (Lera.col 1 3) (Lera.col 2 1)) in
+  Alcotest.(check bool) "out-of-range column is not an equi" false
+    (Join_plan.has_equis p2);
+  let p0 = Join_plan.analyze ~arities:[| 2; 2 |] Lera.tru in
   Alcotest.(check bool) "true has no equis" false (Join_plan.has_equis p0)
 
 (* -- random plans: the cross-layer property ------------------------------ *)
@@ -254,23 +243,49 @@ let test_join_plan_analyze () =
    rule verifier draws from the same distribution as this suite *)
 module Gen = Eds_rulelab.Gen
 
-let qdb () = Gen.db ()
 let gen_plan = Gen.gen_plan
 let print_plan = Gen.print_plan
 
-(* The plain, analyzed and traced runs share one tree walker: in a fixed
-   configuration they must return the same relation and the very same
-   stats (columnar provenance included), and the exclusive counters of
-   the EXPLAIN ANALYZE report must sum to those stats.  The traced runs
-   must also emit balanced [eval:] spans. *)
-let observed_runs_agree db rel (physical, columnar) =
-  let plain () =
-    let s = Eval.fresh_stats () in
-    (Eval.run ~physical ~columnar ~stats:s db rel, s)
+(* Gen.db with R2 rebuilt from mixed cells: column A holds Int and Real
+   cells (an Int equals the Real of the same value under Value.compare),
+   column C holds Null, Bool and Int cells.  Both columns are boxed;
+   column B stays typed. *)
+let mixed_db () =
+  let db = Gen.db () in
+  let r2 = Database.relation db "R2" in
+  let mix i = function
+    | [ a; b; c ] ->
+      let a =
+        match a with
+        | Value.Int n when i mod 2 = 0 -> Value.Real (float_of_int n)
+        | v -> v
+      in
+      let c =
+        match i mod 4 with
+        | 0 -> Value.Null
+        | 1 -> Value.Bool (i mod 3 = 0)
+        | _ -> c
+      in
+      [ a; b; c ]
+    | tup -> tup
   in
+  let r2 = Relation.make r2.Relation.schema (List.mapi mix r2.Relation.tuples) in
+  assert (
+    Array.map Column.flavor (Relation.columns r2).Column.cols
+    = Column.[| F_value; F_int; F_value |]);
+  Database.add_relation db "R2" r2;
+  db
+
+(* The plain, analyzed and traced runs share one tree walker: in a fixed
+   layer they must return the same relation and the very same stats
+   (columnar provenance included), and the exclusive counters of the
+   EXPLAIN ANALYZE report must sum to those stats.  The traced runs must
+   also emit balanced [eval:] spans. *)
+let observed_runs_agree db rel physical =
+  let plain () = run ~physical db rel in
   let analyzed () =
     let s = Eval.fresh_stats () in
-    let r, report = Eval.run_analyzed ~physical ~columnar ~stats:s db rel in
+    let r, report = Eval.run_analyzed ~physical ~stats:s db rel in
     (r, s, report)
   in
   let traced f =
@@ -304,35 +319,32 @@ let observed_runs_agree db rel (physical, columnar) =
   && sums_to s0 report && sums_to s0 report_t
   && spans_t && spans_at
 
-let test_random_plans_agree =
+let random_plans_agree ~name db =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make
-       ~name:
-         "naive, boxed/columnar indexed and observed runs agree on 250 random \
-          plans"
-       ~count:250 ~print:print_plan gen_plan
+    (QCheck2.Test.make ~name ~count:250 ~print:print_plan gen_plan
        (fun (rel, _) ->
-         let db = qdb () in
+         let db = db () in
          let (rn, sn), (ri, si) = run_both db rel in
-         let rc, sc = run_columnar ~physical:Eval.Physical.Indexed db rel in
          Relation.equal rn ri
-         && Relation.equal ri rc
-         && stats_equal sc si
          && si.Eval.combinations <= sn.Eval.combinations
          && si.Eval.probes <= sn.Eval.combinations
          && List.for_all
               (observed_runs_agree db rel)
-              [
-                (Eval.Physical.Naive, false);
-                (Eval.Physical.Indexed, false);
-                (Eval.Physical.Indexed, true);
-              ]))
+              [ Eval.Physical.Naive; Eval.Physical.Indexed ]))
+
+let test_random_plans_agree =
+  random_plans_agree Gen.db
+    ~name:"naive and indexed agree, observed runs too, on 250 random plans"
+
+let test_random_plans_agree_mixed =
+  random_plans_agree mixed_db
+    ~name:"mixed cells: naive and indexed agree on 250 random plans"
 
 (* -- columnar activation and representation normalization ---------------- *)
 
-(* the vectorized paths must actually fire on qualifying all-scalar
-   plans: a silent universal fallback would keep every parity test green
-   while losing the whole point of the layer *)
+(* the vectorized paths must actually fire on all-scalar plans: a silent
+   universal fallback would keep every parity test green while losing
+   the whole point of the layer *)
 let test_columnar_fires () =
   let db = fig8_shape_db () in
   let join =
@@ -342,7 +354,7 @@ let test_columnar_fires () =
         [ Lera.col 1 2; Lera.col 2 2 ] )
   in
   let check_fires name plan =
-    let _, s = run_columnar ~physical:Eval.Physical.Indexed db plan in
+    let _, s = run ~physical:Eval.Physical.Indexed db plan in
     Alcotest.(check bool)
       (Fmt.str "%s: columnar_ops %d > 0" name s.Eval.columnar_ops)
       true
@@ -358,26 +370,18 @@ let test_columnar_fires () =
        ( Lera.Project (Lera.Base "APPEARS_IN", [ Lera.col 1 1 ]),
          Lera.Project (Lera.Base "FILM", [ Lera.col 1 1 ]) ));
   let tc_db = Fixtures.chain_db 12 in
-  let _, s = run_columnar ~physical:Eval.Physical.Indexed tc_db tc_fix in
+  let _, s = run ~physical:Eval.Physical.Indexed tc_db tc_fix in
   Alcotest.(check bool)
     (Fmt.str "semi-naive closure: columnar_ops %d > 0" s.Eval.columnar_ops)
     true
     (s.Eval.columnar_ops > 0);
-  (* the switch really is a switch *)
-  let _, s0 =
-    let st = Eval.fresh_stats () in
-    ( Eval.run ~physical:Eval.Physical.Indexed ~columnar:false ~stats:st db join,
-      st )
-  in
-  Alcotest.(check int) "boxed run takes no columnar path" 0 s0.Eval.columnar_ops;
-  (* Naive is the boxed oracle: the flag must not reach it *)
-  let sn = Eval.fresh_stats () in
-  ignore (Eval.run ~physical:Eval.Physical.Naive ~columnar:true ~stats:sn db join);
+  (* Naive is the boxed oracle: its stats never count a columnar path *)
+  let _, sn = run ~physical:Eval.Physical.Naive db join in
   Alcotest.(check int) "naive never goes columnar" 0 sn.Eval.columnar_ops
 
-(* mixed-flavor operands (Int column vs Real column) must fall back:
-   the packed-key path cannot see Value.compare's Int/Real
-   cross-equality, so parity here proves the flavor gate works *)
+(* Int and Real keys: each column is typed, but of a different flavor,
+   so the join boxes just its two key columns and keeps Value.compare's
+   Int/Real cross-equality *)
 let test_columnar_mixed_flavor () =
   let db = Database.create () in
   let num = [ ("A", Vtype.Int); ("B", Vtype.Int) ] in
@@ -394,10 +398,22 @@ let test_columnar_mixed_flavor () =
         [ Lera.col 1 2; Lera.col 2 2 ] )
   in
   check_agree "Int/Real cross-equality join" db join;
+  let (_, sn), (ri, si) = run_both db join in
+  Alcotest.(check int) "every Int key meets its Real twin" 20
+    (Relation.cardinality ri);
+  Alcotest.(check bool) "the join runs the typed kernel" true
+    (si.Eval.columnar_ops > 0 && sn.Eval.columnar_ops = 0);
   check_agree "Int/Real diff" db
     (Lera.Diff
        ( Lera.Project (Lera.Base "RI", [ Lera.col 1 1 ]),
          Lera.Project (Lera.Base "RF", [ Lera.col 1 1 ]) ));
+  let one = [ ("A", Vtype.Int) ] in
+  let keys v = Relation.make one (List.init 20 (fun i -> [ v i ])) in
+  Alcotest.(check int) "Int/Real diff is empty" 0
+    (Relation.cardinality
+       (Relation.diff
+          (keys (fun i -> Value.Int i))
+          (keys (fun i -> Value.Real (float_of_int i)))));
   (* same-flavor float keys, including the -0./NaN normal forms *)
   let dbf = Database.create () in
   Database.add_relation dbf "F1"
@@ -421,9 +437,57 @@ let test_columnar_mixed_flavor () =
          Lera.eq (Lera.col 1 1) (Lera.col 2 1),
          [ Lera.col 1 2; Lera.col 2 2 ] ))
 
-(* satellite: set operations must re-derive the columnar layout from the
-   result's content — union with an empty or boxed-only side must not
-   drop (or wrongly keep) the shadow *)
+(* a Null in a non-key column boxes that column only: the join keyed on
+   the typed column still runs the typed kernel *)
+let test_null_column_join () =
+  let db = Database.create () in
+  let num = [ ("A", Vtype.Int); ("B", Vtype.Int) ] in
+  Database.add_relation db "L"
+    (Relation.make num
+       (List.init 10 (fun i ->
+            [ Value.Int i; (if i mod 3 = 0 then Value.Null else Value.Int i) ])));
+  Database.add_relation db "R"
+    (Relation.make num
+       (List.init 10 (fun i ->
+            [ Value.Int (i mod 5); (if i = 4 then Value.Bool true else Value.Int i) ])));
+  let join =
+    Lera.Search
+      ( [ Lera.Base "L"; Lera.Base "R" ],
+        Lera.eq (Lera.col 1 1) (Lera.col 2 1),
+        [ Lera.col 1 2; Lera.col 2 2 ] )
+  in
+  check_agree "join with Null/Bool in non-key columns" db join;
+  let _, (_, si) = run_both db join in
+  Alcotest.(check bool)
+    (Fmt.str "typed kernel ran (columnar_ops %d)" si.Eval.columnar_ops)
+    true (si.Eval.columnar_ops > 0);
+  Alcotest.(check bool) "the join built an index" true (si.Eval.builds > 0)
+
+(* an empty operand: no combination, and no index built or probed *)
+let test_empty_operand_join () =
+  let db = fig8_shape_db () in
+  Database.add_relation db "NONE"
+    (Relation.empty [ ("Numf", Vtype.Int); ("Y", Vtype.Int) ]);
+  let join =
+    Lera.Search
+      ( [ Lera.Base "FILM"; Lera.Base "APPEARS_IN"; Lera.Base "NONE" ],
+        Lera.conj
+          [
+            Lera.eq (Lera.col 1 1) (Lera.col 2 1);
+            Lera.eq (Lera.col 2 1) (Lera.col 3 1);
+          ],
+        [ Lera.col 1 2 ] )
+  in
+  check_agree "join with an empty operand" db join;
+  let _, (ri, si) = run_both db join in
+  Alcotest.(check int) "no rows" 0 (Relation.cardinality ri);
+  Alcotest.(check int) "no builds" 0 si.Eval.builds;
+  Alcotest.(check int) "no probes" 0 si.Eval.probes;
+  Alcotest.(check int) "no combinations" 0 si.Eval.combinations
+
+(* set operations re-derive the columnar layout from the result's
+   content, per column: a column holding one constructor is typed, any
+   other column is boxed *)
 let test_union_layout_normalized () =
   let two = [ ("A", Vtype.Int); ("B", Vtype.Int) ] in
   let ri =
@@ -431,25 +495,26 @@ let test_union_layout_normalized () =
   in
   let re = Relation.empty two in
   let mixed = Relation.make two [ [ Value.Null; Value.Int 9 ] ] in
-  let has_cols r = Relation.columns r <> None in
-  Alcotest.(check bool) "columnar side qualifies" true (has_cols ri);
-  Alcotest.(check bool) "empty side has no shadow" false (has_cols re);
-  Alcotest.(check bool) "empty ∪ columnar keeps the layout" true
-    (has_cols (Relation.union re ri));
-  Alcotest.(check bool) "columnar ∪ empty keeps the layout" true
-    (has_cols (Relation.union ri re));
-  Alcotest.(check bool) "columnar ∪ boxed is boxed (Null present)" false
-    (has_cols (Relation.union ri mixed));
-  Alcotest.(check bool) "boxed ∖ columnar stays boxed" false
-    (has_cols (Relation.diff mixed ri));
-  Alcotest.(check bool) "columnar ∖ boxed keeps the layout" true
-    (has_cols (Relation.diff ri mixed));
-  Alcotest.(check bool) "inter re-derives the layout" true
-    (has_cols (Relation.inter ri ri));
-  (* subset extraction preserves canonical order and the shadow *)
+  let flavors r =
+    Array.to_list (Array.map Column.flavor (Relation.columns r).Column.cols)
+  in
+  let check name want r =
+    Alcotest.(check bool) name true (flavors r = want)
+  in
+  let ints = Column.[ F_int; F_int ] and boxed_a = Column.[ F_value; F_int ] in
+  check "all-Int relation is typed" ints ri;
+  check "Null column is boxed, the other stays typed" boxed_a mixed;
+  check "empty ∪ typed keeps the layout" ints (Relation.union re ri);
+  check "typed ∪ empty keeps the layout" ints (Relation.union ri re);
+  check "typed ∪ Null boxes the Null column only" boxed_a
+    (Relation.union ri mixed);
+  check "Null ∖ typed keeps the boxed column" boxed_a (Relation.diff mixed ri);
+  check "typed ∖ Null is typed again" ints (Relation.diff ri mixed);
+  check "inter re-derives the layout" ints (Relation.inter ri ri);
+  (* subset extraction preserves canonical order and the layout *)
   let sub = Relation.filteri (fun i _ -> i mod 2 = 0) ri in
   Alcotest.(check int) "filteri keeps the kept rows" 3 (Relation.cardinality sub);
-  Alcotest.(check bool) "filteri result has a shadow" true (has_cols sub)
+  check "filteri result is typed" ints sub
 
 let suite =
   [
@@ -466,4 +531,9 @@ let suite =
       test_columnar_mixed_flavor;
     Alcotest.test_case "set ops normalize columnar layout" `Quick
       test_union_layout_normalized;
+    test_random_plans_agree_mixed;
+    Alcotest.test_case "Null column keeps the typed join kernel" `Quick
+      test_null_column_join;
+    Alcotest.test_case "empty operand builds no index" `Quick
+      test_empty_operand_join;
   ]

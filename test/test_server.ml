@@ -5,6 +5,7 @@
 
 module Value = Eds_value.Value
 module Relation = Eds_engine.Relation
+module Column = Eds_engine.Column
 module Database = Eds_engine.Database
 module Eval = Eds_engine.Eval
 module Cancel = Eds_engine.Cancel
@@ -194,32 +195,38 @@ let test_database_snapshot_isolation () =
   Alcotest.(check int) "snapshot generation frozen" g0 (Database.data_generation snap)
 
 (* Connection threads reading one snapshot build a relation's derived
-   views (hash set, columnar shadow) on first use, concurrently.  Each
-   round races three threads on a fresh 20,000-row relation: with
-   [Lazy.t] views, a thread preempted mid-build leaves the others
-   raising [CamlinternalLazy.Undefined], which happens within ~20
-   rounds on 2 vCPUs. *)
+   columnar shadow on first use, concurrently.  Each round races three
+   threads on a fresh 20,000-row relation: with a [Lazy.t] view, a thread
+   preempted mid-build leaves the others raising
+   [CamlinternalLazy.Undefined], which happens within ~20 rounds on 2
+   vCPUs.  Every racer must also read the one published shadow. *)
 let test_derived_views_race_free () =
   let module Vtype = Eds_value.Vtype in
+  let schema = [ ("A", Vtype.Int); ("B", Vtype.Int) ] in
   let base =
-    Relation.make
-      [ ("A", Vtype.Int); ("B", Vtype.Int) ]
+    Relation.make schema
       (List.init 20_000 (fun i -> [ Value.Int i; Value.Int (i * 7) ]))
   in
-  let probe = [ Value.Int 3; Value.Int 21 ] in
+  let probe = Relation.make schema [ [ Value.Int 3; Value.Int 21 ] ] in
   let failures = Atomic.make 0 in
   for _ = 1 to 100 do
     (* a fresh record: a subset copy starts with no view built *)
     let r = Relation.filteri (fun _ _ -> true) base in
-    let worker () =
+    let seen = Array.make 3 None in
+    let worker k () =
       try
-        if Relation.columns r = None || not (Relation.mem probe r) then
-          Atomic.incr failures
+        (* inter forces [r]'s shadow, then the read sees the published one *)
+        if Relation.cardinality (Relation.inter probe r) <> 1 then
+          Atomic.incr failures;
+        seen.(k) <- Some (Relation.columns r)
       with _ -> Atomic.incr failures
     in
-    List.iter Thread.join (List.init 3 (fun _ -> Thread.create worker ()))
+    List.iter Thread.join (List.init 3 (fun k -> Thread.create (worker k) ()));
+    match seen with
+    | [| Some a; Some b; Some c |] when a == b && b == c && a.Column.nrows = 20_000 -> ()
+    | _ -> Atomic.incr failures
   done;
-  Alcotest.(check int) "no thread failed to read a derived view" 0
+  Alcotest.(check int) "no thread failed to read the derived view" 0
     (Atomic.get failures)
 
 let test_planner_sweeps_stale_generation () =
@@ -757,6 +764,56 @@ let test_wire_verify_rules () =
           Alcotest.(check bool) "block verified present" true
             (contains ~affix:"verified" payload)))
 
+(* A request line over the 1 MiB cap is answered with an error and the
+   connection closed, without the server buffering the rest; the next
+   connection is served as usual. *)
+let test_wire_line_cap () =
+  let rejected () =
+    match
+      Eds_obs.Metrics.find_sample ~labels:[ ("reason", "line_too_long") ]
+        "eds_requests_rejected_total"
+    with
+    | Some { Eds_obs.Metrics.value = Eds_obs.Metrics.Counter_v n; _ } -> n
+    | Some _ | None -> 0
+  in
+  with_server (Session.create ()) (fun srv ->
+      let before = rejected () in
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with _ -> ())
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port srv));
+          (* 2 MiB, no newline; the server stops reading at the cap, so
+             the rest of the write may fail once it has closed *)
+          let line = Bytes.make (2 lsl 20) 'x' in
+          let writer =
+            Thread.create
+              (fun () ->
+                try ignore (Unix.write fd line 0 (Bytes.length line))
+                with Unix.Unix_error _ -> ())
+              ()
+          in
+          let ic = Unix.in_channel_of_descr fd in
+          (match Protocol.read_response ic with
+          | Some (st, payload) ->
+            Alcotest.check status "over-long line is an error" Protocol.Error st;
+            Alcotest.(check bool) "the reply names the cap" true
+              (contains ~affix:"longer than 1048576 bytes" payload)
+          | None -> Alcotest.fail "connection closed without a reply");
+          let closed =
+            match Protocol.read_response ic with
+            | None -> true
+            | Some _ -> false
+            | exception Sys_error _ -> true
+          in
+          Alcotest.(check bool) "connection closed after the reply" true closed;
+          Thread.join writer);
+      Alcotest.(check int) "rejection counted" (before + 1) (rejected ());
+      with_client srv (fun c ->
+          let st, payload = Client.request c "PING" in
+          Alcotest.check status "next connection served" Protocol.Ok st;
+          Alcotest.(check string) "pong" "pong\n" payload))
+
 let suite =
   [
     Alcotest.test_case "rwlock: readers share" `Quick test_rwlock_readers_share;
@@ -806,4 +863,5 @@ let suite =
       test_loadtest_mixed_verified;
     Alcotest.test_case "relation: derived views race-free" `Quick
       test_derived_views_race_free;
+    Alcotest.test_case "wire: request line cap" `Quick test_wire_line_cap;
   ]
