@@ -346,7 +346,7 @@ let e1 () =
          a b
   in
   let total_time s =
-    List.fold_left (fun acc (_, bs) -> acc +. bs.Engine.time_s) 0. s.Engine.per_block
+    List.fold_left (fun acc (_, bs) -> acc +. bs.Engine.time_s) 0. s.Engine.passes
   in
   let pct num den = 100. *. float_of_int num /. float_of_int (max 1 (num + den)) in
   row "  %-8s %-22s %-22s %-10s %-12s %s@." "depth" "match attempts (i/r)"
@@ -407,7 +407,7 @@ let e1 () =
     row "  per-block (indexed, depth 10, one run):@.";
     List.iter
       (fun entry -> row "    %a@." Engine.pp_block_stats entry)
-      s_idx.Engine.per_block);
+      (Engine.per_block s_idx));
   (* the same comparison on the C1 view join, whose catalog schemas make
      the per-visit schema derivation expensive *)
   let s = Workloads.film_session ~films:10 ~actors:10 in
@@ -757,7 +757,7 @@ let c2 () =
   row "  second merging pass applied %d more rewrites@."
     (stats_twice.Engine.rewrites_applied - stats_once.Engine.rewrites_applied);
   (* per-pass breakdown: [stats.passes] keeps one entry per executed block
-     pass (the name-keyed [per_block] view sums the two merging passes) *)
+     pass ([Engine.per_block] sums the two merging passes by name) *)
   row "  per-pass (merge twice):@.";
   List.iteri
     (fun i (name, bs) ->

@@ -4,7 +4,6 @@
    push a scripted conversation through a real REPL loop. *)
 
 module Relation = Session.Relation
-module Lera = Session.Lera
 module Rule = Session.Rule
 module Engine = Session.Engine
 module Optimizer = Session.Optimizer
@@ -25,20 +24,6 @@ let print_result ppf = function
     Fmt.pf ppf "%a(%d tuple%s)@." Relation.pp rel (Relation.cardinality rel)
       (if Relation.cardinality rel = 1 then "" else "s")
   | Session.Report text -> Fmt.pf ppf "%s@?" text
-
-let print_plan ppf session (p : Session.plan) =
-  let side label rel =
-    if Lera.operator_count rel <= 3 then
-      Fmt.pf ppf "%s: %a@.            (%a)@." label Lera.pp rel Eds_lera.Cost.pp
-        (Session.estimate session rel)
-    else begin
-      Fmt.pf ppf "%s: (%a)@.%a" label Eds_lera.Cost.pp
-        (Session.estimate session rel) Lera.pp_tree rel
-    end
-  in
-  side "translated" p.Session.translated;
-  side "rewritten " p.Session.rewritten;
-  Fmt.pf ppf "rewriting : %a@." Engine.pp_stats p.Session.rewrite_stats
 
 let limits_config n =
   let l = if n < 0 then None else Some n in
@@ -68,9 +53,9 @@ let help_text =
   \                        actual rows, probes/builds and elapsed time\n\
   \  .trace SELECT ...     show every rule application, in order\n\
   \  .trace-file FILE      write a Chrome trace-event file (.trace-file off stops)\n\
-  \  .profile on|off       collect per-rule attempt/fire/veto statistics;\n\
-  \                        'off' (or bare .profile) prints the report\n\
-  \  .profile report       never-fired (dead) rules under the current profile\n\
+  \  .profile              per-rule attempt/fire/veto counts of every\n\
+  \                        SELECT planned so far (always collected)\n\
+  \  .profile report       the never-fired (dead) rules among them\n\
   \  .verify FILE          differentially verify a rule pack against the\n\
   \                        current program; appended to block 'verified'\n\
   \                        only if every rule comes out clean\n\
@@ -112,9 +97,6 @@ let all_rules session =
     (fun b -> List.map (fun r -> (b.Rule.block_name, r.Rule.name)) b.Rule.rules)
     (Session.program session).Rule.blocks
 
-let print_profile ppf session p =
-  Fmt.pf ppf "%a@." (Obs.Profile.pp ~all_rules:(all_rules session)) p
-
 let print_session_stats ppf session =
   let es = Session.eval_stats session in
   Fmt.pf ppf "statements run   : %d@." (Session.statements_run session);
@@ -142,21 +124,10 @@ let print_session_stats ppf session =
   if mvs.Session.Materializer.last_refresh > 0. then
     Fmt.pf ppf "mv last refresh  : %.1fs ago@."
       (Unix.gettimeofday () -. mvs.Session.Materializer.last_refresh);
-  (match Obs.Profile.current () with
-  | None -> ()
-  | Some p ->
-    let rules = all_rules session in
-    let dead = Obs.Profile.never_fired ~all_rules:rules p in
-    Fmt.pf ppf "dead rules       : %d of %d profiled%a@." (List.length dead)
-      (List.length rules)
-      (fun ppf -> function
-        | [] -> ()
-        | l ->
-          Fmt.pf ppf " (%a)"
-            (Fmt.list ~sep:(Fmt.any ", ") (fun ppf (b, r) ->
-                 Fmt.pf ppf "%s/%s" b r))
-            l)
-      dead);
+  let rules = all_rules session in
+  Fmt.pf ppf "dead rules       : %d of %d (.profile report lists them)@."
+    (List.length (Engine.never_fired ~all_rules:rules (Session.rule_ledger session)))
+    (List.length rules);
   match Session.last_rewrite_stats session with
   | None -> Fmt.pf ppf "last rewrite     : (none)@."
   | Some rs -> Fmt.pf ppf "last rewrite     : %a@." Engine.pp_stats rs
@@ -197,14 +168,14 @@ let handle_directive ppf session line =
     Fmt.pf ppf "%s@." help_text;
     `Continue
   | ".explain" ->
-    print_plan ppf session (Session.explain session arg);
+    Fmt.pf ppf "%s@?" (Session.render_plan session (Session.explain session arg));
     `Continue
   | ".trace" ->
     let plan = Session.explain session arg in
     List.iter
       (fun step -> Fmt.pf ppf "%a@." Engine.pp_step step)
       (Engine.steps plan.Session.rewrite_stats);
-    print_plan ppf session plan;
+    Fmt.pf ppf "%s@?" (Session.render_plan session plan);
     `Continue
   | ".trace-file" ->
     (match arg with
@@ -216,24 +187,15 @@ let handle_directive ppf session line =
       Fmt.pf ppf "tracing to %s (Chrome trace-event format)@." path);
     `Continue
   | ".profile" ->
-    (match (arg, Obs.Profile.current ()) with
-    | "on", _ ->
-      Obs.Profile.set_current (Some (Obs.Profile.create ()));
-      Fmt.pf ppf "profiling on@."
-    | "off", Some p ->
-      print_profile ppf session p;
-      Obs.Profile.set_current None
-    | "off", None -> Fmt.pf ppf "profiling was already off@."
-    | "", Some p -> print_profile ppf session p
-    | "report", Some p ->
-      (match Obs.Profile.never_fired ~all_rules:(all_rules session) p with
+    let all_rules = all_rules session and ledger = Session.rule_ledger session in
+    (match arg with
+    | "" -> Fmt.pf ppf "%a@." (Engine.pp_ledger ~all_rules) ledger
+    | "report" -> (
+      match Engine.never_fired ~all_rules ledger with
       | [] -> Fmt.pf ppf "no dead rules: every rule fired at least once@."
       | dead ->
-        List.iter
-          (fun (b, r) -> Fmt.pf ppf "dead rule: %s/%s (never fired)@." b r)
-          dead)
-    | "report", None -> Fmt.pf ppf "profiling is off (.profile on first)@."
-    | _ -> Fmt.pf ppf "usage: .profile on|off|report@.");
+        List.iter (fun (b, r) -> Fmt.pf ppf "dead rule: %s/%s (never fired)@." b r) dead)
+    | _ -> Fmt.pf ppf "usage: .profile [report]@.");
     `Continue
   | ".stats" ->
     (match arg with
@@ -400,7 +362,7 @@ let run_file ?(ppf = Fmt.stdout) ~explain session path =
       match stmt with
       | Eds_esql.Ast.Select_stmt _ when explain ->
         let input = Fmt.str "%a" Eds_esql.Ast.pp_stmt stmt in
-        print_plan ppf session (Session.explain session input);
+        Fmt.pf ppf "%s@?" (Session.render_plan session (Session.explain session input));
         print_result ppf (Session.exec session stmt)
       | _ -> print_result ppf (Session.exec session stmt))
     stmts

@@ -11,12 +11,11 @@ val help_text : string
 
 val print_result : Format.formatter -> Session.result -> unit
 
-val print_plan : Format.formatter -> Session.t -> Session.plan -> unit
-
 val print_session_stats : Format.formatter -> Session.t -> unit
 (** The [.stats] report: cumulative evaluator counters (including
-    hash-join and fix-cache work), the physical layer and domain count,
-    and the last rewrite statistics. *)
+    hash-join and fix-cache work), the physical layer, the number of
+    dead rules in the session's rule ledger and the last rewrite
+    statistics. *)
 
 val limits_config : int -> Session.Optimizer.config
 (** A config applying one limit to every rule block (negative =

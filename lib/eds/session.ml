@@ -54,6 +54,7 @@ type t = {
           against the copy-on-write database — DML invalidates only the
           fixpoints that read the written relation *)
   eval_stats : Eval.stats;  (** cumulative over every executed statement *)
+  rule_ledger : Engine.ledger;  (** cumulative over every planned SELECT *)
   mutable last_rewrite_stats : Engine.stats option;
   mutable statements_run : int;
   mutable last_parse_s : float;
@@ -86,6 +87,7 @@ let create ?(config = Optimizer.default_config) () =
     mviews = Materializer.create ();
     fix_cache = Eval.Shared_fix_cache.create ();
     eval_stats = Eval.fresh_stats ();
+    rule_ledger = Engine.fresh_ledger ();
     last_rewrite_stats = None;
     statements_run = 0;
     last_parse_s = 0.;
@@ -192,6 +194,7 @@ let plan_select ?(parse_s = 0.) s (sel : Ast.select) : plan =
   in
   Metrics.Histogram.observe m_translate translate_s;
   Metrics.Histogram.observe m_rewrite rewrite_s;
+  Engine.merge_ledger ~into:s.rule_ledger stats.Engine.ledger;
   s.last_rewrite_stats <- Some stats;
   { translated; rewritten; rewrite_stats = stats; parse_s; translate_s;
     rewrite_s; trace = events }
@@ -230,8 +233,7 @@ let apply_dml s ~table ~before ~after =
   in
   Database.replace_many s.db updates
 
-(* the plan halves of an EXPLAIN report, shaped like the REPL's
-   .explain output so both surfaces read the same *)
+(* the plan halves of an EXPLAIN report, also the REPL's .explain *)
 let render_plan s (p : plan) =
   let buf = Buffer.create 256 in
   let ppf = Fmt.with_buffer buf in
@@ -342,26 +344,26 @@ let exec s (stmt : Ast.stmt) : result =
           schema values
       in
       let before = Database.relation s.db table in
-      let after = Relation.make schema (tuple :: before.Relation.tuples) in
+      let after = Relation.union before (Relation.make schema [ tuple ]) in
       apply_dml s ~table ~before ~after;
       Inserted 1)
   | Ast.Delete { table; where } -> (
     match Catalog.table s.cat table with
     | None -> error "unknown table %s" table
-    | Some schema ->
+    | Some _ ->
       let qual =
         match where with
         | None -> Lera.tru
         | Some w -> fst (Translate.expr_over_table s.cat ~table w)
       in
       let rel = Database.relation s.db table in
-      let keep, drop =
-        List.partition
-          (fun tup -> not (Expr_eval.eval_bool s.db ~inputs:[ tup ] qual))
-          rel.Relation.tuples
+      let keep =
+        Relation.filteri
+          (fun _ tup -> not (Expr_eval.eval_bool s.db ~inputs:[ tup ] qual))
+          rel
       in
-      apply_dml s ~table ~before:rel ~after:(Relation.make schema keep);
-      Deleted (List.length drop))
+      apply_dml s ~table ~before:rel ~after:keep;
+      Deleted (Relation.cardinality rel - Relation.cardinality keep))
   | Ast.Update { table; assignments; where } -> (
     match Catalog.table s.cat table with
     | None -> error "unknown table %s" table
@@ -460,6 +462,7 @@ let explain s input =
   | _ -> error "EXPLAIN expects a SELECT statement"
 
 let eval_stats s = s.eval_stats
+let rule_ledger s = s.rule_ledger
 let last_rewrite_stats s = s.last_rewrite_stats
 let statements_run s = s.statements_run
 
@@ -482,6 +485,7 @@ let reset_stats s =
   es.Eval.fix_cache_misses <- 0;
   es.Eval.columnar_ops <- 0;
   s.statements_run <- 0;
+  Engine.reset_ledger s.rule_ledger;
   s.last_rewrite_stats <- None
 
 (* -- DBI extension surface ---------------------------------------------- *)

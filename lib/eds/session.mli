@@ -103,11 +103,21 @@ type plan = {
 val explain : t -> string -> plan
 (** Translate and rewrite a SELECT without executing it. *)
 
+val render_plan : t -> plan -> string
+(** The plan before and after rewriting, each with its cost estimate,
+    and the rewrite statistics line: the payload of [EXPLAIN] and the
+    REPL's [.explain]. *)
+
 (** {1 Observability} *)
 
 val eval_stats : t -> Eval.stats
 (** Evaluator work counters accumulated over every statement executed by
     this session. *)
+
+val rule_ledger : t -> Engine.ledger
+(** Per-(block, rule) counts summed over every SELECT this session has
+    planned (each plan's {!Engine.stats} ledger is merged in as it is
+    planned). *)
 
 val last_rewrite_stats : t -> Engine.stats option
 (** Rewrite statistics of the most recently planned SELECT, if any. *)
@@ -116,7 +126,8 @@ val statements_run : t -> int
 (** Number of statements submitted through {!exec} (and wrappers). *)
 
 val reset_stats : t -> unit
-(** Zero {!eval_stats}, {!statements_run} and the last rewrite stats.
+(** Zero {!eval_stats}, {!statements_run}, the {!rule_ledger} and the
+    last rewrite stats.
     {!generation} and {!data_generation} are integrity markers and are
     deliberately untouched (the [STATS RESET] wire command and the
     [.stats reset] directive call this). *)

@@ -75,7 +75,7 @@ let relation_names db = List.map fst (Smap.bindings db.state.relations)
 
 let insert db name tup =
   let rel = relation db name in
-  add_relation db name (Relation.make rel.Relation.schema (tup :: rel.Relation.tuples))
+  add_relation db name (Relation.union rel (Relation.make rel.Relation.schema [ tup ]))
 
 let schema_env db =
   let s = db.state in

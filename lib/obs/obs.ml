@@ -526,116 +526,3 @@ let with_collector f =
       Fun.protect ~finally:(fun () -> sink_ref := Some s) f
     in
     (result, events ())
-
-(* -- the rule profiler --------------------------------------------------- *)
-
-module Profile = struct
-  type cell = {
-    mutable attempts : int;  (** (rule, node) pairs handed to the matcher *)
-    mutable fires : int;
-    mutable constraint_vetoes : int;
-        (** substitutions whose constraints evaluated false *)
-    mutable method_vetoes : int;  (** substitutions vetoed by a method *)
-    mutable budget_aborts : int;  (** attempts cut short by the block limit *)
-    mutable time_s : float;  (** cumulative match + condition time *)
-  }
-
-  type t = {
-    cells : (string * string, cell) Hashtbl.t;
-    mutable order : (string * string) list;  (** insertion order, reversed *)
-  }
-
-  let create () = { cells = Hashtbl.create 64; order = [] }
-
-  let cell t ~block ~rule =
-    let key = (block, rule) in
-    match Hashtbl.find_opt t.cells key with
-    | Some c -> c
-    | None ->
-      let c =
-        {
-          attempts = 0;
-          fires = 0;
-          constraint_vetoes = 0;
-          method_vetoes = 0;
-          budget_aborts = 0;
-          time_s = 0.;
-        }
-      in
-      Hashtbl.add t.cells key c;
-      t.order <- key :: t.order;
-      c
-
-  let cells t =
-    List.rev_map (fun key -> (key, Hashtbl.find t.cells key)) t.order
-
-  (* the global profile consulted by the engine; [None] = profiling off *)
-  let current_ref : t option ref = ref None
-  let current () = !current_ref
-  let set_current p = current_ref := p
-
-  (* Rules that never fired.  [all_rules] (block, rule) pairs extend the
-     verdict to rules that were never even attempted — the dead-rule
-     detection the rule_analysis layer feeds on: a rule that is
-     syntactically alive but never fires on the workload is a candidate
-     for removal or reordering. *)
-  let never_fired ?(all_rules = []) t =
-    let attempted = cells t in
-    let unfired_attempted =
-      List.filter_map
-        (fun (key, c) -> if c.fires = 0 then Some key else None)
-        attempted
-    in
-    let never_attempted =
-      List.filter (fun key -> not (Hashtbl.mem t.cells key)) all_rules
-    in
-    unfired_attempted @ never_attempted
-
-  let pp ?(all_rules = []) ppf t =
-    let entries =
-      List.sort
-        (fun (_, a) (_, b) -> compare b.time_s a.time_s)
-        (cells t)
-    in
-    Fmt.pf ppf "%-16s %-26s %9s %6s %8s %7s %7s %9s@." "block" "rule" "attempts"
-      "fires" "c-veto" "m-veto" "budget" "time(ms)";
-    List.iter
-      (fun ((block, rule), c) ->
-        Fmt.pf ppf "%-16s %-26s %9d %6d %8d %7d %7d %9.3f@." block rule c.attempts
-          c.fires c.constraint_vetoes c.method_vetoes c.budget_aborts
-          (c.time_s *. 1000.))
-      entries;
-    match never_fired ~all_rules t with
-    | [] -> Fmt.pf ppf "every attempted rule fired at least once@."
-    | dead ->
-      Fmt.pf ppf "never fired: %a@."
-        (Fmt.list ~sep:(Fmt.any ", ") (fun ppf (b, r) -> Fmt.pf ppf "%s/%s" b r))
-        dead
-
-  let to_json ?(all_rules = []) t =
-    let rules =
-      List.map
-        (fun ((block, rule), c) ->
-          Json.Obj
-            [
-              ("block", Json.Str block);
-              ("rule", Json.Str rule);
-              ("attempts", Json.Int c.attempts);
-              ("fires", Json.Int c.fires);
-              ("constraint_vetoes", Json.Int c.constraint_vetoes);
-              ("method_vetoes", Json.Int c.method_vetoes);
-              ("budget_aborts", Json.Int c.budget_aborts);
-              ("time_ms", Json.Float (c.time_s *. 1000.));
-            ])
-        (cells t)
-    in
-    Json.Obj
-      [
-        ("rules", Json.List rules);
-        ( "never_fired",
-          Json.List
-            (List.map
-               (fun (b, r) -> Json.Str (b ^ "/" ^ r))
-               (never_fired ~all_rules t)) );
-      ]
-end

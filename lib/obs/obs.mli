@@ -1,4 +1,4 @@
-(** Structured tracing, metrics and rule profiling for the EDS pipeline.
+(** Structured tracing and metrics for the EDS pipeline.
 
     The subsystem is {e zero-cost when disabled}: the default state has
     no sink installed, and every entry point ({!span}, {!instant},
@@ -11,9 +11,9 @@
     Perfetto or [chrome://tracing], and {!memory_sink} collects events
     in memory (used to attach a query's trace to its plan).
 
-    Rule-level profiling ({!Profile}) is independent of the sinks: the
-    rewrite engine aggregates per-rule attempts/fires/vetoes and
-    condition time into the current profile when one is installed. *)
+    Per-rule attempt/fire/veto counts are not kept here: they live in
+    the rewrite engine's always-on rule ledger
+    ([Eds_rewriter.Engine.ledger]). *)
 
 (** Minimal JSON values: encoder, parser and accessors.  Shared by the
     trace sink, the benchmark emitter and the tests (the toolchain has
@@ -137,39 +137,3 @@ val set_clock : (unit -> float) -> unit
     [Unix.gettimeofday]. *)
 
 val now : unit -> float
-
-(** {1 Rule profiler} *)
-
-module Profile : sig
-  type cell = {
-    mutable attempts : int;  (** (rule, node) pairs handed to the matcher *)
-    mutable fires : int;
-    mutable constraint_vetoes : int;
-        (** substitutions whose constraints evaluated false *)
-    mutable method_vetoes : int;  (** substitutions vetoed by a method *)
-    mutable budget_aborts : int;  (** attempts cut short by the block limit *)
-    mutable time_s : float;  (** cumulative match + condition time *)
-  }
-
-  type t
-
-  val create : unit -> t
-
-  val cell : t -> block:string -> rule:string -> cell
-  (** Accounting cell for a (block, rule) pair, created on first use. *)
-
-  val cells : t -> ((string * string) * cell) list
-  (** In first-use order. *)
-
-  val current : unit -> t option
-  val set_current : t option -> unit
-  (** The profile the rewrite engine aggregates into; [None] turns
-      profiling off (the default). *)
-
-  val never_fired : ?all_rules:(string * string) list -> t -> (string * string) list
-  (** Dead-rule detection: attempted-but-unfired rules, plus any rule of
-      [all_rules] that was never attempted at all. *)
-
-  val pp : ?all_rules:(string * string) list -> Format.formatter -> t -> unit
-  val to_json : ?all_rules:(string * string) list -> t -> Json.t
-end

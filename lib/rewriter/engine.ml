@@ -48,6 +48,21 @@ type block_stats = {
   mutable rewrites : int;
 }
 
+type rule_counts = {
+  mutable attempts : int;
+  mutable fires : int;
+  mutable constraint_vetoes : int;
+  mutable method_vetoes : int;
+  mutable budget_aborts : int;
+}
+
+(* The ledger groups its cells by block, in the order the blocks first
+   ran; each block's cells are in rule order.  Both lists are only ever
+   replaced whole, so a reader walking them without a lock (the query
+   server's STATS) sees a consistent list. *)
+type block_cells = { block : string; mutable cells : (string * rule_counts) list }
+type ledger = { mutable blocks : block_cells list }
+
 type stats = {
   mutable conditions_checked : int;
   mutable rewrites_applied : int;
@@ -57,11 +72,12 @@ type stats = {
   mutable index_misses : int;
   mutable schema_hits : int;
   mutable schema_misses : int;
-  mutable by_rule : (string * int) list;
-  mutable per_block : (string * block_stats) list;
+  ledger : ledger;
   mutable passes : (string * block_stats) list;
   mutable trace : step list;  (** most recent first; reversed by [steps] *)
 }
+
+let fresh_ledger () = { blocks = [] }
 
 let fresh_stats () =
   {
@@ -73,38 +89,130 @@ let fresh_stats () =
     index_misses = 0;
     schema_hits = 0;
     schema_misses = 0;
-    by_rule = [];
-    per_block = [];
+    ledger = fresh_ledger ();
     passes = [];
     trace = [];
   }
 
 let steps stats = List.rev stats.trace
 
-let block_stats stats name =
-  match List.assoc_opt name stats.per_block with
-  | Some bs -> bs
+(* -- the rule ledger ------------------------------------------------------ *)
+
+let zero_counts () =
+  { attempts = 0; fires = 0; constraint_vetoes = 0; method_vetoes = 0; budget_aborts = 0 }
+
+let block_cells ledger name =
+  match List.find_opt (fun b -> String.equal b.block name) ledger.blocks with
+  | Some b -> b
   | None ->
-    let bs = { time_s = 0.; nodes = 0; conditions = 0; rewrites = 0 } in
-    stats.per_block <- stats.per_block @ [ (name, bs) ];
-    bs
+    let b = { block = name; cells = [] } in
+    ledger.blocks <- ledger.blocks @ [ b ];
+    b
+
+let cell b rule =
+  match List.find_opt (fun (n, _) -> String.equal n rule) b.cells with
+  | Some (_, c) -> c
+  | None ->
+    let c = zero_counts () in
+    b.cells <- b.cells @ [ (rule, c) ];
+    c
+
+(* The cells of one block pass, aligned with the block's rule list, so
+   that an attempt only increments integers.  Rules are looked up by
+   name, so two rules of one name (a pack added to a block twice) share
+   one cell. *)
+let resolve ledger (block : Rule.block) =
+  let b = block_cells ledger block.Rule.block_name in
+  Array.of_list (List.map (fun (r : Rule.t) -> cell b r.Rule.name) block.Rule.rules)
+
+let add_counts into c =
+  into.attempts <- into.attempts + c.attempts;
+  into.fires <- into.fires + c.fires;
+  into.constraint_vetoes <- into.constraint_vetoes + c.constraint_vetoes;
+  into.method_vetoes <- into.method_vetoes + c.method_vetoes;
+  into.budget_aborts <- into.budget_aborts + c.budget_aborts
+
+let merge_ledger ~into ledger =
+  List.iter
+    (fun src ->
+      let dst = block_cells into src.block in
+      List.iter (fun (n, c) -> add_counts (cell dst n) c) src.cells)
+    ledger.blocks
+
+let reset_ledger ledger = ledger.blocks <- []
+
+let ledger_entries ledger =
+  List.concat_map
+    (fun b -> List.map (fun (rule, c) -> ((b.block, rule), c)) b.cells)
+    ledger.blocks
+
+(* Rules that never fired: attempted cells with no fire, plus any rule of
+   [all_rules] that was never attempted at all.  A rule that is
+   syntactically alive but never fires on the workload is a candidate
+   for removal or reordering. *)
+let never_fired ?(all_rules = []) ledger =
+  let attempted =
+    List.filter (fun (_, c) -> c.attempts > 0) (ledger_entries ledger)
+  in
+  List.filter_map (fun (key, c) -> if c.fires = 0 then Some key else None) attempted
+  @ List.filter (fun key -> not (List.mem_assoc key attempted)) all_rules
+
+let pp_ledger ?(all_rules = []) ppf ledger =
+  Fmt.pf ppf "%-16s %-26s %9s %6s %8s %7s %7s@." "block" "rule" "attempts" "fires"
+    "c-veto" "m-veto" "budget";
+  List.iter
+    (fun ((block, rule), c) ->
+      if c.attempts > 0 then
+        Fmt.pf ppf "%-16s %-26s %9d %6d %8d %7d %7d@." block rule c.attempts c.fires
+          c.constraint_vetoes c.method_vetoes c.budget_aborts)
+    (ledger_entries ledger);
+  match never_fired ~all_rules ledger with
+  | [] -> Fmt.pf ppf "every attempted rule fired at least once@."
+  | dead ->
+    Fmt.pf ppf "never fired: %a@."
+      (Fmt.list ~sep:(Fmt.any ", ") (fun ppf (b, r) -> Fmt.pf ppf "%s/%s" b r))
+      dead
+
+(* -- views over the ledger and the passes --------------------------------- *)
+
+(* [items] summed per name with [add], in first-appearance order *)
+let sum_by_name ~copy ~add items =
+  List.fold_left
+    (fun acc (name, x) ->
+      match List.assoc_opt name acc with
+      | Some total ->
+        add total x;
+        acc
+      | None -> acc @ [ (name, copy x) ])
+    [] items
+
+let by_rule stats =
+  List.map
+    (fun (rule, n) -> (rule, !n))
+    (sum_by_name ~copy:ref ~add:(fun total n -> total := !total + n)
+       (List.filter_map
+          (fun ((_, rule), c) -> if c.fires > 0 then Some (rule, c.fires) else None)
+          (ledger_entries stats.ledger)))
+
+let per_block stats =
+  sum_by_name
+    ~copy:(fun (p : block_stats) -> { p with time_s = p.time_s })
+    ~add:(fun total p ->
+      total.time_s <- total.time_s +. p.time_s;
+      total.nodes <- total.nodes + p.nodes;
+      total.conditions <- total.conditions + p.conditions;
+      total.rewrites <- total.rewrites + p.rewrites)
+    stats.passes
 
 (* One execution of a block is one *pass*.  A block name may execute
    several times under one [stats] record — the same block re-run across
    rounds, or a rule set mounted under two blocks of the program (the
    C2 merge/fixpoint/merge sequence) — so accounting is collected per
-   pass and folded into the name-summed [per_block] view afterwards. *)
+   pass; [per_block] sums the passes by name. *)
 let new_pass stats name =
   let bs = { time_s = 0.; nodes = 0; conditions = 0; rewrites = 0 } in
   stats.passes <- stats.passes @ [ (name, bs) ];
   bs
-
-let merge_pass stats name (pass : block_stats) =
-  let total = block_stats stats name in
-  total.time_s <- total.time_s +. pass.time_s;
-  total.nodes <- total.nodes + pass.nodes;
-  total.conditions <- total.conditions + pass.conditions;
-  total.rewrites <- total.rewrites + pass.rewrites
 
 let pp_block_stats ppf (name, bs) =
   Fmt.pf ppf "%s: %.3fms nodes=%d conditions=%d rewrites=%d" name
@@ -115,15 +223,7 @@ let pp_stats ppf s =
     s.conditions_checked s.rewrites_applied s.nodes_visited s.match_attempts
     s.index_hits s.index_misses s.schema_hits s.schema_misses
     (Fmt.list ~sep:(Fmt.any "; ") (fun ppf (n, c) -> Fmt.pf ppf "%s:%d" n c))
-    s.by_rule
-
-let bump_rule stats name =
-  stats.rewrites_applied <- stats.rewrites_applied + 1;
-  let rec go = function
-    | [] -> [ (name, 1) ]
-    | (n, c) :: rest -> if n = name then (n, c + 1) :: rest else (n, c) :: go rest
-  in
-  stats.by_rule <- go stats.by_rule
+    (by_rule s)
 
 exception Rewrite_error of string
 
@@ -343,107 +443,90 @@ let run_methods c env rule subst =
   in
   go subst rule.Rule.methods
 
-(* Per-attempt veto accounting, filled in only when profiling or tracing
-   is on (the tally is [None] on the undisturbed hot path). *)
-type attempt_tally = {
-  mutable subs : int;  (** substitutions enumerated *)
-  mutable constraint_fails : int;
-  mutable method_fails : int;
-  mutable budget_hit : bool;
-}
-
 (* Shared core of rule application.  Enumerates the rule's matches
    lazily; each substitution whose constraints are about to be evaluated
    costs one condition check — [on_check] charges it against the block
    budget and returns false when the budget is exhausted, which aborts
    the enumeration ("each time a rule condition is checked, the limit of
-   the block is decreased by one", §4.2). *)
-let try_rule c env ~on_check ?tally (rule : Rule.t) t : Term.t option =
+   the block is decreased by one", §4.2).  Vetoes and budget aborts are
+   counted in the rule's ledger cell. *)
+let try_rule c env ~on_check cell (rule : Rule.t) t : Term.t option =
   let rec find seq =
     match seq () with
     | Seq.Nil -> None
-    | Seq.Cons (subst, rest) -> (
+    | Seq.Cons (subst, rest) ->
       if not (on_check ()) then begin
-        (match tally with Some a -> a.budget_hit <- true | None -> ());
+        cell.budget_aborts <- cell.budget_aborts + 1;
         None
       end
-      else begin
-        (match tally with Some a -> a.subs <- a.subs + 1 | None -> ());
-        let holds =
-          List.for_all
-            (fun ct -> eval_constraint c env (Subst.apply subst ct))
-            rule.Rule.constraints
-        in
-        if not holds then begin
-          (match tally with
-          | Some a -> a.constraint_fails <- a.constraint_fails + 1
-          | None -> ());
-          find rest
-        end
-        else
-          match run_methods c env rule subst with
-          | Some subst' -> Some (Lera_term.normalize (Subst.apply subst' rule.Rule.rhs))
-          | None ->
-            (match tally with
-            | Some a -> a.method_fails <- a.method_fails + 1
-            | None -> ());
-            find rest
-      end)
+      else if
+        not
+          (List.for_all
+             (fun ct -> eval_constraint c env (Subst.apply subst ct))
+             rule.Rule.constraints)
+      then begin
+        cell.constraint_vetoes <- cell.constraint_vetoes + 1;
+        find rest
+      end
+      else (
+        match run_methods c env rule subst with
+        | Some subst' -> Some (Lera_term.normalize (Subst.apply subst' rule.Rule.rhs))
+        | None ->
+          cell.method_vetoes <- cell.method_vetoes + 1;
+          find rest)
   in
   find (Matcher.all ~pattern:rule.Rule.lhs t)
 
-(* One (rule, node) attempt with observability: when a profile is
-   installed, aggregate attempts/fires/vetoes and condition time per
-   (block, rule); when a trace sink is installed, emit one complete
-   event per attempt with its outcome.  When neither is active this is
-   exactly [try_rule] — one load and one branch of overhead. *)
-let attempt_rule c env ~on_check ~block_name (rule : Rule.t) t : Term.t option =
-  match Obs.Profile.current (), Obs.enabled () with
-  | None, false -> try_rule c env ~on_check rule t
-  | profile, traced ->
-    let tally =
-      { subs = 0; constraint_fails = 0; method_fails = 0; budget_hit = false }
-    in
-    let t0 = Obs.now () in
-    let result = try_rule c env ~on_check ~tally rule t in
-    let dt = Obs.now () -. t0 in
-    (match profile with
-    | Some p ->
-      let cell = Obs.Profile.cell p ~block:block_name ~rule:rule.Rule.name in
-      cell.Obs.Profile.attempts <- cell.Obs.Profile.attempts + 1;
-      if Option.is_some result then
-        cell.Obs.Profile.fires <- cell.Obs.Profile.fires + 1;
-      cell.Obs.Profile.constraint_vetoes <-
-        cell.Obs.Profile.constraint_vetoes + tally.constraint_fails;
-      cell.Obs.Profile.method_vetoes <-
-        cell.Obs.Profile.method_vetoes + tally.method_fails;
-      if tally.budget_hit then
-        cell.Obs.Profile.budget_aborts <- cell.Obs.Profile.budget_aborts + 1;
-      cell.Obs.Profile.time_s <- cell.Obs.Profile.time_s +. dt
-    | None -> ());
-    if traced then begin
-      let outcome =
-        match result with
-        | Some _ -> "fired"
-        | None ->
-          if tally.budget_hit then "budget"
-          else if tally.method_fails > 0 then "method-veto"
-          else if tally.constraint_fails > 0 then "constraint-veto"
-          else "no-match"
-      in
-      Obs.complete ~cat:"rule"
-        ~attrs:
-          [
-            ("block", Obs.Json.Str block_name);
-            ("outcome", Obs.Json.Str outcome);
-            ("substitutions", Obs.Json.Int tally.subs);
-          ]
-        ("rule:" ^ rule.Rule.name) ~ts:t0 ~dur:dt
-    end;
-    result
+(* [try_rule] under a trace sink: one complete event per attempt with its
+   outcome, read off the cell's counters around the attempt.  Every
+   checked substitution ends in exactly one veto or in the fire. *)
+let try_rule_traced c env ~on_check ~block_name cell (rule : Rule.t) t =
+  let vetoes = cell.constraint_vetoes and m_vetoes = cell.method_vetoes in
+  let aborts = cell.budget_aborts in
+  let t0 = Obs.now () in
+  let result = try_rule c env ~on_check cell rule t in
+  let dur = Obs.now () -. t0 in
+  let vetoes = cell.constraint_vetoes - vetoes in
+  let m_vetoes = cell.method_vetoes - m_vetoes in
+  let outcome =
+    match result with
+    | Some _ -> "fired"
+    | None ->
+      if cell.budget_aborts > aborts then "budget"
+      else if m_vetoes > 0 then "method-veto"
+      else if vetoes > 0 then "constraint-veto"
+      else "no-match"
+  in
+  Obs.complete ~cat:"rule"
+    ~attrs:
+      [
+        ("block", Obs.Json.Str block_name);
+        ("outcome", Obs.Json.Str outcome);
+        ( "substitutions",
+          Obs.Json.Int (vetoes + m_vetoes + Bool.to_int (Option.is_some result)) );
+      ]
+    ("rule:" ^ rule.Rule.name) ~ts:t0 ~dur;
+  result
+
+(* One (rule, node) attempt of either engine.  Attempts and fires are
+   counted here and in [record], next to [match_attempts] and
+   [rewrites_applied], so those totals are the ledger's sums. *)
+let attempt c env ~on_check stats ~block_name cell rule t =
+  stats.match_attempts <- stats.match_attempts + 1;
+  cell.attempts <- cell.attempts + 1;
+  if Obs.enabled () then try_rule_traced c env ~on_check ~block_name cell rule t
+  else try_rule c env ~on_check cell rule t
+
+let record stats (bstats : block_stats) cell ~block_name (rule : Rule.t) redex
+    replacement =
+  stats.trace <-
+    { rule_name = rule.Rule.name; block_name; redex; replacement } :: stats.trace;
+  stats.rewrites_applied <- stats.rewrites_applied + 1;
+  cell.fires <- cell.fires + 1;
+  bstats.rewrites <- bstats.rewrites + 1
 
 let apply_rule_at c env (rule : Rule.t) t : Term.t option =
-  try_rule c env ~on_check:(fun () -> true) rule t
+  try_rule c env ~on_check:(fun () -> true) (zero_counts ()) rule t
 
 (* -- local environments while descending --------------------------------- *)
 
@@ -550,6 +633,8 @@ type exec = {
   bstats : block_stats;
   block : Rule.block;
   compiled : Rule.compiled;
+  cells : rule_counts array;  (** ledger cells, aligned with [block.rules] *)
+  check : unit -> bool;  (** charges one condition check to the budget *)
   budget : int ref;
   memo : schema_memo;
   failed : local_env list ref Phystbl.t;
@@ -557,12 +642,12 @@ type exec = {
           environments under which that was established *)
 }
 
-let charge_check ex () =
-  if !(ex.budget) <= 0 then false
+let charge_check stats (bstats : block_stats) budget () =
+  if !budget <= 0 then false
   else begin
-    ex.stats.conditions_checked <- ex.stats.conditions_checked + 1;
-    ex.bstats.conditions <- ex.bstats.conditions + 1;
-    decr ex.budget;
+    stats.conditions_checked <- stats.conditions_checked + 1;
+    bstats.conditions <- bstats.conditions + 1;
+    decr budget;
     true
   end
 
@@ -575,18 +660,6 @@ let mark_failed ex t env =
   match Phystbl.find_opt ex.failed t with
   | Some envs -> envs := env :: !envs
   | None -> Phystbl.add ex.failed t (ref [ env ])
-
-let record ex rule redex replacement =
-  ex.stats.trace <-
-    {
-      rule_name = rule.Rule.name;
-      block_name = ex.block.Rule.block_name;
-      redex;
-      replacement;
-    }
-    :: ex.stats.trace;
-  bump_rule ex.stats rule.Rule.name;
-  ex.bstats.rewrites <- ex.bstats.rewrites + 1
 
 (* One rewrite step of the indexed engine: scan top-down, leftmost; on
    success rebuild the path.  Equivalent to restarting a full scan from
@@ -619,16 +692,13 @@ let rec fast_at_node ex env t =
 
 and fast_try_rules ex env t = function
   | [] -> None
-  | rule :: rest ->
+  | (i, rule) :: rest ->
     if !(ex.budget) <= 0 then None
     else begin
-      ex.stats.match_attempts <- ex.stats.match_attempts + 1;
-      match
-        attempt_rule ex.ectx env ~on_check:(charge_check ex)
-          ~block_name:ex.block.Rule.block_name rule t
-      with
+      let cell = ex.cells.(i) and block_name = ex.block.Rule.block_name in
+      match attempt ex.ectx env ~on_check:ex.check ex.stats ~block_name cell rule t with
       | Some t' ->
-        record ex rule t t';
+        record ex.stats ex.bstats cell ~block_name rule t t';
         Some t'
       | None -> fast_try_rules ex env t rest
     end
@@ -671,42 +741,39 @@ let run_block_exec ex t =
   ex.bstats.time_s <- ex.bstats.time_s +. (Unix.gettimeofday () -. t0);
   result
 
-(* [bstats] is this pass's cell; fold it into the name-summed view once
-   the pass completes.  With a trace sink installed the pass becomes a
-   span carrying its budget on entry and its work counters on exit. *)
+(* [bstats] is this pass's entry in [passes].  With a trace sink
+   installed the pass becomes a span carrying its budget on entry and
+   its work counters on exit. *)
 let run_pass stats block_name ~limit ~bstats exec t =
-  let result =
-    if not (Obs.enabled ()) then exec t
-    else begin
-      let name = "block:" ^ block_name in
-      Obs.span_begin ~cat:"rewrite"
-        ~attrs:
-          [
-            ( "limit",
-              match limit with
-              | Some n -> Obs.Json.Int n
-              | None -> Obs.Json.Str "inf" );
-            ("pass", Obs.Json.Int (List.length stats.passes));
-          ]
-        name;
-      Fun.protect
-        ~finally:(fun () ->
-          Obs.span_end ~cat:"rewrite"
-            ~attrs:
-              [
-                ("nodes", Obs.Json.Int bstats.nodes);
-                ("conditions", Obs.Json.Int bstats.conditions);
-                ("rewrites", Obs.Json.Int bstats.rewrites);
-              ]
-            name)
-        (fun () -> exec t)
-    end
-  in
-  merge_pass stats block_name bstats;
-  result
+  if not (Obs.enabled ()) then exec t
+  else begin
+    let name = "block:" ^ block_name in
+    Obs.span_begin ~cat:"rewrite"
+      ~attrs:
+        [
+          ( "limit",
+            match limit with
+            | Some n -> Obs.Json.Int n
+            | None -> Obs.Json.Str "inf" );
+          ("pass", Obs.Json.Int (List.length stats.passes));
+        ]
+      name;
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.span_end ~cat:"rewrite"
+          ~attrs:
+            [
+              ("nodes", Obs.Json.Int bstats.nodes);
+              ("conditions", Obs.Json.Int bstats.conditions);
+              ("rewrites", Obs.Json.Int bstats.rewrites);
+            ]
+          name)
+      (fun () -> exec t)
+  end
 
 let run_block_with c stats memo (block : Rule.block) t =
   let bstats = new_pass stats block.Rule.block_name in
+  let budget = ref (match block.Rule.limit with Some n -> n | None -> max_int) in
   let ex =
     {
       ectx = c;
@@ -714,7 +781,9 @@ let run_block_with c stats memo (block : Rule.block) t =
       bstats;
       block;
       compiled = Rule.compile block;
-      budget = ref (match block.Rule.limit with Some n -> n | None -> max_int);
+      cells = resolve stats.ledger block;
+      check = charge_check stats bstats budget;
+      budget;
       memo;
       failed = Phystbl.create 256;
     }
@@ -752,47 +821,27 @@ let run c ?stats (program : Rule.program) t =
    the indexed engine — the golden-trace tests check that both produce
    identical results and traces; the benchmarks use the work counters to
    measure what indexing and incremental re-scan save. *)
-let reference_step c block stats bstats budget t : Term.t option =
+let reference_step c block stats bstats cells ~on_check budget t : Term.t option =
   let rec at_node env t =
     if !budget <= 0 then None
     else begin
       stats.nodes_visited <- stats.nodes_visited + 1;
       bstats.nodes <- bstats.nodes + 1;
-      match try_rules env t block.Rule.rules with
+      match try_rules env t 0 block.Rule.rules with
       | Some t' -> Some t'
       | None -> into_children env t
     end
-  and try_rules env t = function
+  and try_rules env t i = function
     | [] -> None
     | rule :: rest ->
       if !budget <= 0 then None
       else begin
-        stats.match_attempts <- stats.match_attempts + 1;
-        let on_check () =
-          if !budget <= 0 then false
-          else begin
-            stats.conditions_checked <- stats.conditions_checked + 1;
-            bstats.conditions <- bstats.conditions + 1;
-            decr budget;
-            true
-          end
-        in
-        match
-          attempt_rule c env ~on_check ~block_name:block.Rule.block_name rule t
-        with
+        let block_name = block.Rule.block_name in
+        match attempt c env ~on_check stats ~block_name cells.(i) rule t with
         | Some t' ->
-          stats.trace <-
-            {
-              rule_name = rule.Rule.name;
-              block_name = block.Rule.block_name;
-              redex = t;
-              replacement = t';
-            }
-            :: stats.trace;
-          bump_rule stats rule.Rule.name;
-          bstats.rewrites <- bstats.rewrites + 1;
+          record stats bstats cells.(i) ~block_name rule t t';
           Some t'
-        | None -> try_rules env t rest
+        | None -> try_rules env t (i + 1) rest
       end
   and into_children env t =
     match t with
@@ -829,12 +878,14 @@ let run_block_reference c ?stats (block : Rule.block) t =
   let stats = match stats with Some s -> s | None -> fresh_stats () in
   let bstats = new_pass stats block.Rule.block_name in
   let budget = ref (match block.Rule.limit with Some n -> n | None -> max_int) in
+  let cells = resolve stats.ledger block in
+  let on_check = charge_check stats bstats budget in
   let exec t =
     let t0 = Unix.gettimeofday () in
     let rec loop t =
       if !budget <= 0 then t
       else
-        match reference_step c block stats bstats budget t with
+        match reference_step c block stats bstats cells ~on_check budget t with
         | Some t' -> loop (Lera_term.normalize t')
         | None -> t
     in

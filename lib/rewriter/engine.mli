@@ -66,30 +66,68 @@ type step = {
 
 val pp_step : Format.formatter -> step -> unit
 
-(** Work accounting for one block (accumulated over every execution of
-    the block under the same {!stats}). *)
+(** Work accounting for one block pass. *)
 type block_stats = {
-  mutable time_s : float;  (** wall-clock seconds spent in the block *)
+  mutable time_s : float;  (** wall-clock seconds spent in the pass *)
   mutable nodes : int;
   mutable conditions : int;
   mutable rewrites : int;
 }
 
+(** {1 The rule ledger}
+
+    Per-(block, rule) counters, always on.  A block pass resolves its
+    rules' cells once, so an attempt costs a few integer increments: no
+    lookup, no allocation, no clock read.  Per-attempt durations live
+    only in the trace's [rule:NAME] events, per-pass time in
+    [stats.passes]. *)
+
+type rule_counts = {
+  mutable attempts : int;  (** (rule, node) pairs handed to the matcher *)
+  mutable fires : int;
+  mutable constraint_vetoes : int;
+      (** substitutions whose constraints evaluated false *)
+  mutable method_vetoes : int;  (** substitutions vetoed by a method *)
+  mutable budget_aborts : int;  (** attempts cut short by the block limit *)
+}
+
+type ledger
+
+val fresh_ledger : unit -> ledger
+
+val ledger_entries : ledger -> ((string * string) * rule_counts) list
+(** [((block, rule), counts)], blocks in the order they first ran and
+    each block's rules in rule order, attempted or not. *)
+
+val merge_ledger : into:ledger -> ledger -> unit
+(** Add every cell of the second ledger into [into]. *)
+
+val reset_ledger : ledger -> unit
+(** Drop every cell: all counts read zero again. *)
+
+val never_fired : ?all_rules:(string * string) list -> ledger -> (string * string) list
+(** Dead-rule detection: attempted-but-unfired (block, rule) pairs, plus
+    any pair of [all_rules] that was never attempted at all. *)
+
+val pp_ledger : ?all_rules:(string * string) list -> Format.formatter -> ledger -> unit
+(** One row per attempted cell, then the {!never_fired} verdict. *)
+
+(** {1 Rewrite statistics} *)
+
 type stats = {
   mutable conditions_checked : int;
       (** substitutions whose constraints were evaluated — the unit the
           block limit counts *)
-  mutable rewrites_applied : int;
+  mutable rewrites_applied : int;  (** the sum of the ledger's fires *)
   mutable nodes_visited : int;  (** nodes at which rules were considered *)
-  mutable match_attempts : int;  (** (rule, node) pairs handed to the matcher *)
+  mutable match_attempts : int;
+      (** (rule, node) pairs handed to the matcher — the sum of the
+          ledger's attempts *)
   mutable index_hits : int;  (** rules skipped by the head-symbol index *)
   mutable index_misses : int;  (** rules the index could not rule out *)
   mutable schema_hits : int;  (** schema derivations answered by the memo *)
   mutable schema_misses : int;
-  mutable by_rule : (string * int) list;  (** rewrites per rule name *)
-  mutable per_block : (string * block_stats) list;
-      (** name-summed view: one entry per block {e name}, totals over
-          every pass of that name (kept for backwards compatibility) *)
+  ledger : ledger;
   mutable passes : (string * block_stats) list;
       (** one entry per block {e pass} in execution order — a block name
           re-run across rounds, or mounted twice in the program (the C2
@@ -101,9 +139,12 @@ val fresh_stats : unit -> stats
 val steps : stats -> step list
 (** Applications in chronological order. *)
 
-val block_stats : stats -> string -> block_stats
-(** Name-summed accounting entry for a block name, created on first
-    use.  Per-pass accounting lives in the [passes] field. *)
+val by_rule : stats -> (string * int) list
+(** Fires per rule name, summed over blocks, in ledger order; rules
+    that never fired are left out. *)
+
+val per_block : stats -> (string * block_stats) list
+(** [passes] summed by block name, in first-pass order. *)
 
 val pp_block_stats : Format.formatter -> string * block_stats -> unit
 val pp_stats : Format.formatter -> stats -> unit

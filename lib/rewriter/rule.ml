@@ -68,11 +68,11 @@ let head_key (lhs : Term.t) : head_key =
 type compiled = {
   source : block;
   rule_count : int;
-  by_app_head : (string, t list) Hashtbl.t;
-  app_fallback : t list;  (** subject head not indexed: fvar + wildcard rules *)
-  by_coll : (Term.ckind * t list) list;
-  cst_rules : t list;
-  var_rules : t list;
+  by_app_head : (string, (int * t) list) Hashtbl.t;
+  app_fallback : (int * t) list;  (** subject head not indexed: fvar + wildcard rules *)
+  by_coll : (Term.ckind * (int * t) list) list;
+  cst_rules : (int * t) list;
+  var_rules : (int * t) list;
 }
 
 let compile (b : block) : compiled =
@@ -81,8 +81,6 @@ let compile (b : block) : compiled =
     indexed
     |> List.filter (fun (_, _, k) -> sel k)
     |> List.map (fun (i, r, _) -> (i, r))
-    |> List.sort (fun (i, _) (j, _) -> Int.compare i j)
-    |> List.map snd
   in
   let heads =
     List.sort_uniq String.compare
@@ -120,7 +118,7 @@ let compile (b : block) : compiled =
 let source c = c.source
 let rule_count c = c.rule_count
 
-let candidates (c : compiled) (t : Term.t) : t list =
+let candidates (c : compiled) (t : Term.t) : (int * t) list =
   match t with
   | Term.App (f, _) -> (
     match Hashtbl.find_opt c.by_app_head f with

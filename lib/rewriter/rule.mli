@@ -63,11 +63,12 @@ val compile : block -> compiled
 val source : compiled -> block
 val rule_count : compiled -> int
 
-val candidates : compiled -> Term.t -> t list
+val candidates : compiled -> Term.t -> (int * t) list
 (** Rules of the block whose lhs is head-compatible with the subject
-    (per {!Eds_term.Matcher.head_compatible}), in the block's original
-    rule order.  Sound over-approximation: every rule with at least one
-    match is included; rules that cannot match are (mostly) excluded.
+    (per {!Eds_term.Matcher.head_compatible}), each with its position in
+    the block's rule list, in the block's original rule order.  Sound
+    over-approximation: every rule with at least one match is included;
+    rules that cannot match are (mostly) excluded.
     The returned list is precomputed — no allocation per call. *)
 
 val output_variables : t -> string list

@@ -16,7 +16,7 @@
    nonterminating rules stay bounded during verification; whether the
    rule *needs* a limit is reported separately by the static
    termination audit (Rule_analysis).  A final pack-level pass mounts
-   all rules together under an Obs.Profile and replays the trials to
+   all rules together and replays the trials to
    find dead rules (never fire) and shadowed rules (dead, but overlap
    an earlier rule that did fire). *)
 
@@ -31,7 +31,6 @@ module Rule_parser = Eds_rewriter.Rule_parser
 module Rule_analysis = Eds_rewriter.Rule_analysis
 module Engine = Eds_rewriter.Engine
 module Optimizer = Eds_rewriter.Optimizer
-module Obs = Eds_obs.Obs
 module Metrics = Eds_obs.Metrics
 
 let m_rules =
@@ -191,9 +190,15 @@ let cand_block ?(limit = budget) rules =
 let mount base rules =
   { Rule.blocks = cand_block rules :: base.Rule.blocks; rounds = base.Rule.rounds }
 
-(* a reserved alias keeps Engine.stats.by_rule unambiguous even when the
-   candidate duplicates a base-program rule (self-verification) *)
-let alias r = { r with Rule.name = r.Rule.name ^ "~cand" }
+(* fires of a candidate rule, read off the rule ledger: the ledger keys
+   on (block, rule), so a candidate duplicating a base-program rule
+   (self-verification) is still counted apart *)
+let candidate_fires stats name =
+  List.fold_left
+    (fun acc ((block, r), c) ->
+      if block = "~candidate" && r = name then acc + c.Engine.fires else acc)
+    0
+    (Engine.ledger_entries stats.Engine.ledger)
 
 let evaluate db rel =
   match Eval.run ~physical:Eval.Physical.Indexed db rel with
@@ -214,15 +219,10 @@ let baseline_of ~ctx ~base db plan =
     match evaluate db baseline with Error _ -> None | Ok r -> Some r)
 
 let with_candidate ~ctx ~base ~rule ~expected db plan =
-  let aliased = alias rule in
-  let with_prog = mount base [ aliased ] in
+  let with_prog = mount base [ rule ] in
   Metrics.Counter.incr m_trials;
   let stats = Engine.fresh_stats () in
-  let fired st =
-    match List.assoc_opt aliased.Rule.name st.Engine.by_rule with
-    | Some n -> n > 0
-    | None -> false
-  in
+  let fired st = candidate_fires st rule.Rule.name > 0 in
   match Optimizer.rewrite ~program:with_prog ~stats ctx plan with
   | exception e ->
     if fired stats then Differ (expected, Error (Printexc.to_string e))
@@ -413,28 +413,16 @@ let check_counterexample ?base rule ce =
   let ctx = Optimizer.make_ctx (Database.schema_env (Gen.db ())) in
   fails ~ctx ~base ~rule (db_of_relations ce.relations) ce.plan
 
-(* -- liveness: the pack-level profile pass ------------------------------- *)
+(* -- liveness: the pack-level ledger pass -------------------------------- *)
 
 let liveness_pass ~ctx ~base ~trial_list rules =
-  let profile = Obs.Profile.create () in
-  let saved = Obs.Profile.current () in
-  Obs.Profile.set_current (Some profile);
-  Fun.protect
-    ~finally:(fun () -> Obs.Profile.set_current saved)
-    (fun () ->
-      let prog = mount base rules in
-      Array.iter
-        (fun (plan, _db) ->
-          try ignore (Optimizer.rewrite ~program:prog ctx plan)
-          with _ -> ())
-        trial_list);
-  let fires name =
-    match
-      List.assoc_opt ("~candidate", name) (Obs.Profile.cells profile)
-    with
-    | Some cell -> cell.Obs.Profile.fires
-    | None -> 0
-  in
+  let stats = Engine.fresh_stats () in
+  let prog = mount base rules in
+  Array.iter
+    (fun (plan, _db) ->
+      try ignore (Optimizer.rewrite ~program:prog ~stats ctx plan) with _ -> ())
+    trial_list;
+  let fires = candidate_fires stats in
   List.mapi
     (fun i rule ->
       if fires rule.Rule.name > 0 then Live

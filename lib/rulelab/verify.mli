@@ -8,7 +8,7 @@
     to a minimal failing plan + instance.  One report folds in the
     static termination audit and overlap analysis ({!Rule_analysis})
     and the pack-level liveness pass (dead/shadowed rules from
-    [Obs.Profile] fire data).
+    rule-ledger fire data).
 
     Candidate blocks always run under a finite condition-check limit,
     so nonterminating rules stay bounded during verification. *)

@@ -219,23 +219,23 @@ let prop_index_equals_linear_scan =
     @ Rulesets.semantic () @ Rulesets.simplification ()
   in
   let compiled = Rule.compile (Rule.block "all" rules) in
-  let position r = Option.get (List.find_index (fun r' -> r' == r) rules) in
   QCheck2.Test.make ~name:"head index finds what the linear scan finds" ~count:300
     subject_gen
     (fun t ->
       let cands = Rule.candidates compiled t in
+      let positions = List.map fst cands in
       (* soundness: every rule with at least one match is a candidate *)
       List.for_all
         (fun r ->
           Seq.is_empty (Matcher.all ~pattern:r.Rule.lhs t)
-          || List.exists (fun r' -> r' == r) cands)
+          || List.exists (fun (_, r') -> r' == r) cands)
         rules
+      (* each candidate carries its position in the block's rule list *)
+      && List.for_all (fun (i, r) -> List.nth rules i == r) cands
       (* precision: every candidate is head-compatible *)
-      && List.for_all (fun r -> Matcher.head_compatible ~pattern:r.Rule.lhs t) cands
+      && List.for_all (fun (_, r) -> Matcher.head_compatible ~pattern:r.Rule.lhs t) cands
       (* order: candidates appear in the block's rule order *)
-      && List.for_all2 ( <= )
-           (List.map position cands)
-           (List.sort compare (List.map position cands)))
+      && positions = List.sort_uniq compare positions)
 
 (* -- golden traces (satellite d / tentpole acceptance) --------------------- *)
 

@@ -1,6 +1,6 @@
 (* Tests for the observability subsystem (Eds_obs): the JSON codec, the
    Chrome trace-event sink, the disabled-by-default guarantees, per-pass
-   rewrite statistics and the rule profiler. *)
+   rewrite statistics and the rewriter's rule ledger. *)
 
 module Obs = Eds_obs.Obs
 module Json = Eds_obs.Obs.Json
@@ -17,7 +17,6 @@ let isolated f =
   Fun.protect
     ~finally:(fun () ->
       Obs.set_sink None;
-      Obs.Profile.set_current None;
       Obs.reset_metrics ())
     f
 
@@ -202,24 +201,31 @@ let test_trace_agrees_with_stats () =
   let plan = Session.explain s "SELECT A FROM V3 WHERE B > 50" in
   Obs.set_sink None;
   (* fired rule:NAME complete-events in the plan's own trace must agree
-     exactly with the engine's by_rule statistics *)
-  let fired = Hashtbl.create 16 in
+     exactly with the plan's rule ledger, per (block, rule) and summed
+     per rule name *)
+  let fired = Hashtbl.create 16 and fired_in = Hashtbl.create 16 in
+  let bump tbl key =
+    Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+  in
   List.iter
     (fun e ->
       match e with
       | Obs.Complete { name; attrs; _ }
         when String.length name > 5 && String.sub name 0 5 = "rule:" ->
-        let outcome =
-          Option.bind (List.assoc_opt "outcome" attrs) Json.to_str
-        in
-        if outcome = Some "fired" then begin
+        let attr key = Option.bind (List.assoc_opt key attrs) Json.to_str in
+        if attr "outcome" = Some "fired" then begin
           let rule = String.sub name 5 (String.length name - 5) in
-          Hashtbl.replace fired rule
-            (1 + Option.value ~default:0 (Hashtbl.find_opt fired rule))
+          bump fired rule;
+          bump fired_in (Option.get (attr "block"), rule)
         end
       | _ -> ())
     plan.Session.trace;
-  let by_rule = plan.Session.rewrite_stats.Engine.by_rule in
+  List.iter
+    (fun (key, (c : Engine.rule_counts)) ->
+      Alcotest.(check int) "trace fires per (block, rule)" c.Engine.fires
+        (Option.value ~default:0 (Hashtbl.find_opt fired_in key)))
+    (Engine.ledger_entries plan.Session.rewrite_stats.Engine.ledger);
+  let by_rule = Engine.by_rule plan.Session.rewrite_stats in
   Alcotest.(check bool) "some rule fired" true (List.length by_rule > 0);
   List.iter
     (fun (rule, n) ->
@@ -258,7 +264,10 @@ let test_per_pass_stats () =
     (fun (name, _) -> Alcotest.(check string) "pass name" "merging" name)
     stats.Engine.passes;
   (* the name-summed view equals the fold of the passes *)
-  let summed = Engine.block_stats stats "merging" in
+  let per_block = Engine.per_block stats in
+  Alcotest.(check (list string)) "one name-summed entry" [ "merging" ]
+    (List.map fst per_block);
+  let summed = List.assoc "merging" per_block in
   let fold f = List.fold_left (fun acc (_, bs) -> acc + f bs) 0 stats.Engine.passes in
   Alcotest.(check int) "conditions sum" summed.Engine.conditions
     (fold (fun bs -> bs.Engine.conditions));
@@ -274,51 +283,56 @@ let test_per_pass_stats () =
   | _ -> Alcotest.fail "expected exactly two passes");
   Alcotest.(check bool) "rewrites happened" true (summed.Engine.rewrites > 0)
 
-(* -- the rule profiler ---------------------------------------------------- *)
+(* -- the rule ledger ---------------------------------------------------- *)
 
-let test_profile_view_stack () =
-  isolated @@ fun () ->
-  Obs.Profile.set_current (Some (Obs.Profile.create ()));
+let all_rules s =
+  List.concat_map
+    (fun b -> List.map (fun r -> (b.Rule.block_name, r.Rule.name)) b.Rule.rules)
+    (Session.program s).Rule.blocks
+
+(* the session's ledger is always on: no switch, and a single planned
+   query shows up in it *)
+let test_ledger_view_stack () =
   let s = view_stack_session ~depth:3 in
   let plan = Session.explain s "SELECT A FROM V3 WHERE B > 50" in
-  let profile = Option.get (Obs.Profile.current ()) in
-  Obs.Profile.set_current None;
-  let cells = Obs.Profile.cells profile in
-  Alcotest.(check bool) "profile has cells" true (List.length cells > 0);
+  let stats = plan.Session.rewrite_stats in
+  let cells = Engine.ledger_entries (Session.rule_ledger s) in
+  Alcotest.(check bool) "ledger has cells" true (List.length cells > 0);
   (* the merging rules must show nonzero fire counts on a view stack *)
-  let fires_of rule =
+  let sum f rule =
     List.fold_left
-      (fun acc ((_, r), (c : Obs.Profile.cell)) ->
-        if r = rule then acc + c.Obs.Profile.fires else acc)
+      (fun acc ((_, r), (c : Engine.rule_counts)) -> if r = rule then acc + f c else acc)
       0 cells
   in
+  let fires_of = sum (fun c -> c.Engine.fires) in
   Alcotest.(check bool) "search_merge fired" true (fires_of "search_merge" > 0);
-  (* fire counts agree with the engine's statistics *)
+  (* fire counts agree with the plan's own statistics *)
   List.iter
     (fun (rule, n) ->
-      Alcotest.(check int) (Fmt.str "profile fires for %s" rule) n (fires_of rule))
-    plan.Session.rewrite_stats.Engine.by_rule;
+      Alcotest.(check int) (Fmt.str "ledger fires for %s" rule) n (fires_of rule))
+    (Engine.by_rule stats);
+  (* the global totals are the ledger's sums *)
+  let total f = List.fold_left (fun acc (_, c) -> acc + f c) 0 cells in
+  Alcotest.(check int) "rewrites_applied = sum of fires" stats.Engine.rewrites_applied
+    (total (fun c -> c.Engine.fires));
+  Alcotest.(check int) "match_attempts = sum of attempts" stats.Engine.match_attempts
+    (total (fun c -> c.Engine.attempts));
   (* attempted-but-never-fired cells are flagged, per (block, rule):
      search_merge can fire in "merging" yet be dead in "merging_again" *)
   let cell_fires key =
     List.fold_left
-      (fun acc (k, (c : Obs.Profile.cell)) ->
-        if k = key then acc + c.Obs.Profile.fires else acc)
+      (fun acc (k, (c : Engine.rule_counts)) ->
+        if k = key then acc + c.Engine.fires else acc)
       0 cells
   in
-  let attempted_unfired = Obs.Profile.never_fired profile in
+  let attempted_unfired = Engine.never_fired (Session.rule_ledger s) in
   List.iter
     (fun ((_, rule) as key) ->
       Alcotest.(check int) (Fmt.str "%s reported unfired" rule) 0 (cell_fires key))
     attempted_unfired;
   (* rules the program contains but never even attempted are flagged when
      the full rule list is supplied *)
-  let all_rules =
-    List.concat_map
-      (fun b -> List.map (fun r -> (b.Rule.block_name, r.Rule.name)) b.Rule.rules)
-      (Session.program s).Rule.blocks
-  in
-  let flagged = Obs.Profile.never_fired ~all_rules profile in
+  let flagged = Engine.never_fired ~all_rules:(all_rules s) (Session.rule_ledger s) in
   Alcotest.(check bool) "some rules never fired" true (List.length flagged > 0);
   (* e.g. the fixpoint rules have nothing to do on a non-recursive query *)
   Alcotest.(check bool) "alexander_rule flagged" true
@@ -329,23 +343,75 @@ let contains ~sub s =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-let test_profile_report_text () =
-  isolated @@ fun () ->
-  Obs.Profile.set_current (Some (Obs.Profile.create ()));
+let test_ledger_report_text () =
   let s = view_stack_session ~depth:3 in
   ignore (Session.explain s "SELECT A FROM V3 WHERE B > 50");
-  let profile = Option.get (Obs.Profile.current ()) in
-  Obs.Profile.set_current None;
-  let all_rules =
-    List.concat_map
-      (fun b -> List.map (fun r -> (b.Rule.block_name, r.Rule.name)) b.Rule.rules)
-      (Session.program s).Rule.blocks
+  let report =
+    Fmt.str "%a" (Engine.pp_ledger ~all_rules:(all_rules s)) (Session.rule_ledger s)
   in
-  let report = Fmt.str "%a" (Obs.Profile.pp ~all_rules) profile in
   Alcotest.(check bool) "mentions search_merge" true
     (contains ~sub:"search_merge" report);
   Alcotest.(check bool) "flags dead rules" true
     (contains ~sub:"never fired" report)
+
+(* two sessions in one process count apart: planning in one leaves the
+   other's ledger empty, and a second plan adds to the first *)
+let test_ledger_per_session () =
+  let fires s =
+    List.fold_left
+      (fun acc (_, (c : Engine.rule_counts)) -> acc + c.Engine.fires)
+      0
+      (Engine.ledger_entries (Session.rule_ledger s))
+  in
+  let a = view_stack_session ~depth:3 and b = view_stack_session ~depth:3 in
+  let p = Session.explain a "SELECT A FROM V3 WHERE B > 50" in
+  let once = fires a in
+  Alcotest.(check int) "a counts its plan" p.Session.rewrite_stats.Engine.rewrites_applied once;
+  Alcotest.(check int) "b untouched" 0 (fires b);
+  ignore (Session.explain a "SELECT A FROM V3 WHERE B > 50");
+  Alcotest.(check int) "a accumulates" (2 * once) (fires a);
+  ignore (Session.explain b "SELECT A FROM V2 WHERE B > 50");
+  Alcotest.(check bool) "b counts its own" true (fires b > 0 && fires b < once);
+  Alcotest.(check int) "a unchanged by b" (2 * once) (fires a);
+  Session.reset_stats a;
+  Alcotest.(check int) "reset zeroes a" 0 (fires a);
+  Alcotest.(check int) "reset leaves no attempts" 0
+    (List.length
+       (List.filter
+          (fun (_, (c : Engine.rule_counts)) -> c.Engine.attempts > 0)
+          (Engine.ledger_entries (Session.rule_ledger a))));
+  Alcotest.(check bool) "b keeps its counts" true (fires b > 0)
+
+(* a pack added to a block twice (verifying it twice does this) leaves
+   one cell per rule name: the copy that is attempted but never fires
+   does not make the rule look dead, and the rule has one row *)
+let test_ledger_duplicate_rule () =
+  let s = view_stack_session ~depth:3 in
+  Session.set_program s { Rule.blocks = []; rounds = 1 };
+  let pack =
+    String.concat " ;\n"
+      (List.map
+         (fun name -> Fmt.str "%a" Rule.pp (Rulesets.find name))
+         [ "filter_to_search"; "proj_to_search"; "search_merge" ])
+    ^ " ;"
+  in
+  Session.add_rules s ~block:"verified" pack;
+  Session.add_rules s ~block:"verified" pack;
+  ignore (Session.explain s "SELECT A FROM V3 WHERE B > 50");
+  let ledger = Session.rule_ledger s in
+  let rows =
+    List.filter
+      (fun (key, _) -> key = ("verified", "search_merge"))
+      (Engine.ledger_entries ledger)
+  in
+  (match rows with
+  | [ (_, c) ] -> Alcotest.(check bool) "search_merge fired" true (c.Engine.fires > 0)
+  | rows -> Alcotest.failf "expected one search_merge row, got %d" (List.length rows));
+  Alcotest.(check bool) "search_merge not dead" false
+    (List.mem ("verified", "search_merge") (Engine.never_fired ledger));
+  let report = Fmt.str "%a" (Engine.pp_ledger ?all_rules:None) ledger in
+  Alcotest.(check bool) "report does not flag it" false
+    (contains ~sub:"verified/search_merge" report)
 
 (* -- metrics -------------------------------------------------------------- *)
 
@@ -384,7 +450,10 @@ let suite =
     Alcotest.test_case "trace fire counts agree with stats" `Quick
       test_trace_agrees_with_stats;
     Alcotest.test_case "per-pass block stats" `Quick test_per_pass_stats;
-    Alcotest.test_case "profile: view-stack golden" `Quick test_profile_view_stack;
-    Alcotest.test_case "profile: report text" `Quick test_profile_report_text;
+    Alcotest.test_case "profile: view-stack golden" `Quick test_ledger_view_stack;
+    Alcotest.test_case "profile: report text" `Quick test_ledger_report_text;
+    Alcotest.test_case "profile: one ledger per session" `Quick test_ledger_per_session;
     Alcotest.test_case "metrics collection" `Quick test_metrics_collection;
+    Alcotest.test_case "profile: a rule added twice has one cell" `Quick
+      test_ledger_duplicate_rule;
   ]

@@ -96,6 +96,53 @@ let test_physical_directive () =
   Alcotest.(check bool) "session really holds the layer" true
     (Session.physical final = Eds_engine.Eval.Physical.Naive)
 
+let view_stack =
+  [
+    "TABLE BASE (A : NUMERIC, B : NUMERIC, C : NUMERIC);";
+    "INSERT INTO BASE VALUES (10, 60, 1);";
+    "INSERT INTO BASE VALUES (20, 40, 2);";
+    "CREATE VIEW V1 (A, B, C) AS SELECT A, B, C FROM BASE WHERE A > 1;";
+    "CREATE VIEW V2 (A, B, C) AS SELECT A, B, C FROM V1 WHERE A > 2;";
+    "CREATE VIEW V3 (A, B, C) AS SELECT A, B, C FROM V2 WHERE A > 3;";
+  ]
+
+(* the rule ledger is always on: .profile and .profile report need no
+   switch first, and the switch itself is gone *)
+let test_profile_directive () =
+  let out, _ =
+    drive
+      (view_stack
+      @ [ "SELECT A FROM V3 WHERE B > 50;"; ".profile"; ".profile report"; ".profile on" ])
+  in
+  Alcotest.(check bool) "report has the header" true (contains out "attempts");
+  Alcotest.(check bool) "search_merge row" true (contains out "search_merge");
+  Alcotest.(check bool) "dead rules listed" true (contains out "dead rule: fixpoint/");
+  Alcotest.(check bool) "search_merge is not dead" false
+    (contains out "dead rule: merging/search_merge ");
+  Alcotest.(check bool) "no switch" true (contains out "usage: .profile [report]")
+
+let test_stats_reset_zeroes_ledger () =
+  let out, _ =
+    drive
+      (view_stack
+      @ [ "SELECT A FROM V3 WHERE B > 50;"; ".stats reset"; ".profile report" ])
+  in
+  Alcotest.(check bool) "search_merge dead again after reset" true
+    (contains out "dead rule: merging/search_merge ")
+
+(* .explain prints exactly the payload of EXPLAIN *)
+let test_explain_is_explain () =
+  let session = Session.create () in
+  List.iter (fun stmt -> ignore (Session.exec_string session stmt)) view_stack;
+  let q = "SELECT A FROM V3 WHERE B > 50" in
+  let buf = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer buf in
+  ignore (Repl.dispatch ppf session (".explain " ^ q));
+  Format.pp_print_flush ppf ();
+  match Session.exec_string session ("EXPLAIN " ^ q) with
+  | Session.Report payload -> Alcotest.(check string) "same text" payload (Buffer.contents buf)
+  | _ -> Alcotest.fail "EXPLAIN did not report"
+
 let suite =
   [
     Alcotest.test_case "bad statements don't kill the loop" `Quick
@@ -104,4 +151,9 @@ let suite =
       test_directive_errors_kept_alive;
     Alcotest.test_case ".physical selects naive|indexed" `Quick
       test_physical_directive;
+    Alcotest.test_case ".profile needs no switch" `Quick test_profile_directive;
+    Alcotest.test_case ".stats reset zeroes the rule ledger" `Quick
+      test_stats_reset_zeroes_ledger;
+    Alcotest.test_case ".explain prints the EXPLAIN payload" `Quick
+      test_explain_is_explain;
   ]

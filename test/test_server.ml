@@ -519,6 +519,54 @@ let test_wire_explain_analyze () =
           let st, _ = Client.request c "PING" in
           Alcotest.check status "still alive" Protocol.Ok st))
 
+(* the rule ledger over the wire: SELECTs planned for two connections
+   land in the one session ledger that [.profile] prints, with no switch
+   turned on first *)
+let view_stack_session () =
+  let s = Session.create () in
+  ignore (Session.exec_string s "TABLE BASE (A : NUMERIC, B : NUMERIC, C : NUMERIC)");
+  for i = 1 to 20 do
+    ignore
+      (Session.exec_string s
+         (Fmt.str "INSERT INTO BASE VALUES (%d, %d, %d)" (i * 7 mod 100) (i * 13 mod 100) i))
+  done;
+  for i = 1 to 3 do
+    let prev = if i = 1 then "BASE" else Fmt.str "V%d" (i - 1) in
+    ignore
+      (Session.exec_string s
+         (Fmt.str "CREATE VIEW V%d (A, B, C) AS SELECT A, B, C FROM %s WHERE A > %d" i prev i))
+  done;
+  s
+
+let test_wire_profile () =
+  with_server (view_stack_session ()) (fun srv ->
+      List.iter
+        (fun bound ->
+          with_client srv (fun c ->
+              let st, _ = Client.request c (Fmt.str "SELECT A FROM V3 WHERE B > %d;" bound) in
+              Alcotest.check status "select ok" Protocol.Ok st))
+        [ 50; 40 ];
+      with_client srv (fun c ->
+          let st, payload = Client.request c ".profile" in
+          Alcotest.check status "profile ok" Protocol.Ok st;
+          let fires =
+            List.find_map
+              (fun line ->
+                match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+                | [ "merging"; "search_merge"; _attempts; fires; _; _; _ ] ->
+                  int_of_string_opt fires
+                | _ -> None)
+              (String.split_on_char '\n' payload)
+          in
+          (match fires with
+          | Some n -> Alcotest.(check bool) "search_merge fired" true (n > 0)
+          | None -> Alcotest.failf "no merging/search_merge row in:\n%s" payload);
+          let st, report = Client.request c ".profile report" in
+          Alcotest.check status "report ok" Protocol.Ok st;
+          Alcotest.(check bool) "lists dead rules" true (contains ~affix:"dead rule: " report);
+          Alcotest.(check bool) "search_merge is live" false
+            (contains ~affix:"merging/search_merge " report)))
+
 (* -- timeouts ------------------------------------------------------------ *)
 
 (* a 60^4 cartesian product under the naive physical layer: far more
@@ -864,4 +912,5 @@ let suite =
     Alcotest.test_case "relation: derived views race-free" `Quick
       test_derived_views_race_free;
     Alcotest.test_case "wire: request line cap" `Quick test_wire_line_cap;
+    Alcotest.test_case "wire: .profile after two connections" `Quick test_wire_profile;
   ]

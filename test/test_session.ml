@@ -357,11 +357,42 @@ let test_objects_through_session () =
   let r = Session.query s "SELECT Who FROM OWNS WHERE Name(Animal) = 'rex'" in
   Alcotest.(check int) "owner found via object deref" 1 (Relation.cardinality r)
 
+(* INSERT merges one row into the sorted table and DELETE filters it in
+   place: out-of-order and duplicate INSERTs, then DELETEs, must leave
+   exactly the relation a full sort of the expected rows builds *)
+let test_insert_delete_incremental () =
+  let s = Session.create () in
+  ignore (Session.exec_string s "TABLE T (K : INT, V : CHAR)");
+  let insert k = ignore (Session.exec_string s (Fmt.str "INSERT INTO T VALUES (%d, 'v%d')" k (k mod 3))) in
+  List.iter insert [ 9; 7; 7; 5; 9; 3; 1; 8; 2; 2 ];
+  let deleted = Session.exec_string s "DELETE FROM T WHERE K > 7" in
+  (match deleted with
+  | Session.Deleted n -> Alcotest.(check int) "two rows deleted" 2 n
+  | _ -> Alcotest.fail "expected Deleted");
+  ignore (Session.exec_string s "DELETE FROM T WHERE K = 3");
+  insert 4;
+  let row k = [ Value.Int k; Value.Str (Fmt.str "v%d" (k mod 3)) ] in
+  let got = Session.query s "SELECT K, V FROM T" in
+  let table = Eds_engine.Database.relation (Session.database s) "T" in
+  let expected = Relation.make table.Relation.schema (List.map row [ 7; 5; 1; 2; 4 ]) in
+  Alcotest.(check bool) "stored table" true (Relation.equal expected table);
+  Alcotest.(check bool) "query result" true (Relation.equal expected got);
+  Alcotest.(check int) "cardinality" 5 (Relation.cardinality table);
+  (* the direct database path merges the same way *)
+  let db = Session.database s in
+  List.iter (fun k -> Eds_engine.Database.insert db "T" (row k)) [ 6; 1; 0 ];
+  Alcotest.(check bool) "Database.insert" true
+    (Relation.equal
+       (Relation.make table.Relation.schema (List.map row [ 7; 5; 1; 2; 4; 6; 0 ]))
+       (Eds_engine.Database.relation db "T"))
+
 let suite =
   [
     Alcotest.test_case "exec result kinds" `Quick test_exec_results;
     Alcotest.test_case "query + enum coercion" `Quick test_query_and_enum_coercion;
     Alcotest.test_case "insert set semantics" `Quick test_insert_set_semantics;
+    Alcotest.test_case "insert/delete keep the table sorted" `Quick
+      test_insert_delete_incremental;
     Alcotest.test_case "errors wrapped in Session_error" `Quick test_errors_are_wrapped;
     Alcotest.test_case "explain plans" `Quick test_explain_plans;
     Alcotest.test_case "rewriting toggle" `Quick test_rewriting_toggle;
